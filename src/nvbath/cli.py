@@ -129,13 +129,12 @@ def _parse_floats(text: str, what: str):
     return vals
 
 
-def read_decay_csv(path) -> DecayCurve:
-    """Parse t_us,signal[,sigma] rows; an optional single header row and
-    '#' comments are skipped. Bad rows are reported with their line number.
-    """
-    t, y, s = [], [], []
-    ncols = None
-    saw_data = False
+def _read_csv_rows(path, widths):
+    """Numeric rows of a comma-separated file, each with one of the column
+    counts in widths (all rows alike). Blank lines, '#' comments and header
+    rows before the first data row are skipped; bad rows are reported with
+    their line number."""
+    rows = []
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
@@ -146,33 +145,36 @@ def read_decay_csv(path) -> DecayCurve:
             if not line:
                 continue
             parts = [p.strip() for p in line.split(",")]
-            if len(parts) not in (2, 3):
+            if len(parts) not in widths:
                 raise ValidationError(
-                    f"{path}: line {ln}: expected 2 or 3 columns, "
+                    f"{path}: line {ln}: expected "
+                    f"{' or '.join(map(str, widths))} columns, "
                     f"got {len(parts)}")
             try:
                 vals = [float(p) for p in parts]
             except ValueError:
-                if not saw_data:
+                if not rows:
                     continue  # header row
                 raise ValidationError(
                     f"{path}: line {ln}: non-numeric value in {line!r}") \
                     from None
-            if ncols is None:
-                ncols = len(vals)
-            elif len(vals) != ncols:
+            if rows and len(vals) != len(rows[0]):
                 raise ValidationError(
-                    f"{path}: line {ln}: expected {ncols} columns, "
+                    f"{path}: line {ln}: expected {len(rows[0])} columns, "
                     f"got {len(vals)}")
-            saw_data = True
-            t.append(vals[0])
-            y.append(vals[1])
-            if ncols == 3:
-                s.append(vals[2])
-    if not saw_data:
+            rows.append(vals)
+    if not rows:
         raise ValidationError(f"{path}: no data rows")
-    sigma = np.asarray(s) if s else None
-    return DecayCurve(t_us=np.asarray(t), signal=np.asarray(y), sigma=sigma)
+    return rows
+
+
+def read_decay_csv(path) -> DecayCurve:
+    """Parse t_us,signal[,sigma] rows; header rows before the data and '#'
+    comments are skipped. Bad rows are reported with their line number.
+    """
+    cols = np.array(_read_csv_rows(path, (2, 3))).T
+    return DecayCurve(t_us=cols[0], signal=cols[1],
+                      sigma=cols[2] if len(cols) == 3 else None)
 
 
 # ----- system construction ------------------------------------------------
@@ -316,36 +318,6 @@ _LINEWIDTH_DEFAULTS = {
 }
 
 
-def _read_overlay(path):
-    """n,w_mhz measured points for the linewidth plot."""
-    pts = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-    with fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError:
-                if ln == 1:
-                    continue  # header row
-                raise ValidationError(
-                    f"{path}: line {ln}: non-numeric value in {line!r}") \
-                    from None
-            if len(vals) != 2:
-                raise ValidationError(
-                    f"{path}: line {ln}: expected n,w_mhz")
-            pts.append(vals)
-    if not pts:
-        raise ValidationError(f"{path}: no overlay points")
-    return pts
-
-
 def cmd_linewidth(args) -> int:
     overrides = {
         "concentrations": (_parse_floats(args.concentrations,
@@ -389,7 +361,7 @@ def cmd_linewidth(args) -> int:
                   {"x": n_values, "y": [p.w_dipolar_mhz for p in points],
                    "label": "dipolar"}]
         if args.overlay:
-            pts = _read_overlay(args.overlay)
+            pts = _read_csv_rows(args.overlay, (2,))  # n, w_mhz
             series.append({"x": [p[0] for p in pts],
                            "y": [p[1] for p in pts],
                            "label": "measured", "points": True})

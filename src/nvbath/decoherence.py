@@ -350,6 +350,7 @@ COHERENCE_WEIGHTS = {
 }
 
 MIN_BATH_SAMPLES = 100
+BATH_CHUNK_SAMPLES = 256    # samples per draw; bounds simulate_bath_fid memory
 
 
 @dataclass(frozen=True)
@@ -401,32 +402,54 @@ def simulate_bath_fid(couplings: PairCouplings, kind: str, t_us,
                       occupancy: float = None) -> DecayCurve:
     """Ensemble-averaged coherence envelope under random bath spins.
 
-    Each sample draws bath spin orientations m = +-1/2 (and, when occupancy
-    is given, an independent Bernoulli site occupation); the envelope is the
-    ensemble mean of cos((w1*dw1 + w2*dw2) t) with the (w1, w2) weights of
-    the coherence kind. The envelope is exactly 1 at t = 0.
+    Each sample gives every bath site a spin m = +1/2 or -1/2 with
+    probability p/2 each and leaves it empty otherwise (p = occupancy, or 1
+    when occupancy is None); the envelope is the ensemble mean of
+    cos((w1*dw1 + w2*dw2) t) with the (w1, w2) weights of the coherence
+    kind. The envelope is exactly 1 at t = 0.
+
+    Only sites coupled to at least one register nucleus are drawn, with one
+    uniform variate u per (sample, site): +1/2 if u < p/2, -1/2 if
+    p/2 <= u < p, empty otherwise. The drawn sites do not depend on kind,
+    so all kinds at one seed see the same bath draws. Samples are drawn
+    BATH_CHUNK_SAMPLES at a time from one Philox stream read in order:
+    memory is bounded whatever n_samples is, and the chunk size changes
+    only the rounding of the sample sum.
     """
     kind = kind.lower()
     if kind not in COHERENCE_WEIGHTS:
         raise ValidationError(f"kind must be one of {tuple(COHERENCE_WEIGHTS)}")
-    if n_samples < MIN_BATH_SAMPLES:
-        raise ValidationError(f"need at least {MIN_BATH_SAMPLES} samples")
+    if not isinstance(n_samples, (int, np.integer)) \
+            or n_samples < MIN_BATH_SAMPLES:
+        raise ValidationError(
+            f"need an integer number of samples, at least {MIN_BATH_SAMPLES}")
     t = np.asarray(t_us, dtype=float)
-    if t.ndim != 1 or len(t) < 2 or np.any(np.diff(t) <= 0) or t[0] < 0:
+    if t.ndim != 1 or len(t) < 2 or not np.all(np.isfinite(t)) \
+            or np.any(np.diff(t) <= 0) or t[0] < 0:
         raise ValidationError("time grid must be increasing and nonnegative")
+    if occupancy is not None and not 0.0 <= occupancy <= 1.0:
+        raise ValidationError("occupancy must lie in [0, 1]")
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 128:
+        raise ValidationError("seed must lie in [0, 2**128)")
+    p = 1.0 if occupancy is None else float(occupancy)
     w1, w2 = COHERENCE_WEIGHTS[kind]
-    # angular frequency per site in rad/us
-    omega = 2.0e-3 * math.pi * (w1 * couplings.c1_khz + w2 * couplings.c2_khz)
+    c1, c2 = couplings.c1_khz, couplings.c2_khz
+    coupled = (c1 != 0.0) | (c2 != 0.0)
+    # angular frequency per coupled site in rad/us
+    omega = 2.0e-3 * math.pi * (w1 * c1[coupled] + w2 * c2[coupled])
+    if not np.all(np.isfinite(omega)):
+        raise ValidationError("couplings must be finite")
 
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    nk = len(couplings)
-    spins = np.where(gen.random((n_samples, nk)) < 0.5, 0.5, -0.5)
-    if occupancy is not None:
-        if not 0.0 <= occupancy <= 1.0:
-            raise ValidationError("occupancy must lie in [0, 1]")
-        spins = spins * (gen.random((n_samples, nk)) < occupancy)
-    env = _kernels.phase_envelope(spins, omega, t)
-    return DecayCurve(t_us=t, signal=env)
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    total = np.zeros(len(t))
+    for start in range(0, n_samples, BATH_CHUNK_SAMPLES):
+        m = min(BATH_CHUNK_SAMPLES, n_samples - start)
+        u = gen.random((m, omega.size))
+        spins = (u < 0.5 * p).astype(float)
+        spins -= 0.5 * (u < p)
+        total += m * _kernels.phase_envelope(spins, omega, t)
+    return DecayCurve(t_us=t, signal=total / n_samples)
 
 
 def fit_envelope_rate(curve: DecayCurve, floor: float = 0.05) -> float:

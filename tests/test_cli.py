@@ -139,6 +139,18 @@ def test_linewidth_from_lattice_with_overlay_plot(tmp_path, capsys):
     assert (tmp_path / "linewidth.csv").exists()
 
 
+def test_linewidth_overlay_header_after_comment(tmp_path, capsys):
+    overlay = tmp_path / "meas.csv"
+    overlay.write_text("# measured\nn,w_mhz\n0.011,0.5\n")
+    argv = ["linewidth", "--concentrations", "0.001,0.01", "--plot",
+            "--overlay", str(overlay), "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert "measured" in (tmp_path / "linewidth.svg").read_text()
+    overlay.write_text("# measured\nn,w_mhz\n0.011,0.5\n0.05,x\n")
+    assert main(argv) == 2
+    assert "line 4" in capsys.readouterr().err
+
+
 def test_fit_recovers_parameters(tmp_path):
     t = np.linspace(0.0, 40.0, 80)
     y = fid_model(t, 13.3, 0.9, 0.5, 0.5)

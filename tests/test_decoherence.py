@@ -7,6 +7,7 @@ import pytest
 
 from nvbath.constants import CONSTANTS
 from nvbath.decoherence import (
+    BATH_CHUNK_SAMPLES,
     CONCENTRATION_LABEL_NOTE,
     MIN_FIT_POINTS,
     MODELS,
@@ -25,6 +26,7 @@ from nvbath.decoherence import (
     simulate_bath_fid,
 )
 from nvbath.errors import FitError, ValidationError
+from nvbath.lattice import classify_shells, generate_lattice
 
 
 def test_model_values_oracle():
@@ -245,17 +247,88 @@ def test_psi_immune_to_correlated_couplings():
     assert phi.signal.min() < 0.9
 
 
-def test_bath_simulation_validation():
-    couplings = _two_site_couplings([1.0], [0.0])
+def test_bath_simulation_validation(monkeypatch):
+    # every input is checked before the random stream is opened
+    def no_draw(*args, **kwargs):
+        raise AssertionError("random stream opened before validation")
+
+    monkeypatch.setattr(np.random, "Philox", no_draw)
+    couplings = _two_site_couplings([1.0, 2.0], [0.0, 3.0])
     t = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(ValidationError):
-        simulate_bath_fid(couplings, "dq", t)
-    with pytest.raises(ValidationError):
-        simulate_bath_fid(couplings, "sq1", t, n_samples=10)
-    with pytest.raises(ValidationError):
-        simulate_bath_fid(couplings, "sq1", t[::-1])
-    with pytest.raises(ValidationError):
-        simulate_bath_fid(couplings, "sq1", t, occupancy=1.5)
+    for kwargs in ({"kind": "dq"}, {"n_samples": 10}, {"t_us": t[::-1]},
+                   {"occupancy": 1.5}, {"occupancy": math.nan},
+                   {"n_samples": 150.5}, {"seed": -1},
+                   {"t_us": [0.0, math.inf]},
+                   {"couplings": _two_site_couplings([1.0, math.nan],
+                                                     [0.0, 3.0])}):
+        args = {"couplings": couplings, "kind": "phi", "t_us": t, **kwargs}
+        with pytest.raises(ValidationError):
+            simulate_bath_fid(**args)
+
+
+_WEIGHTS = {"sq1": (1, 0), "sq2": (0, 1), "phi": (1, 1), "psi": (1, -1)}
+
+
+def test_uncoupled_sites_do_not_change_the_draw():
+    c1 = np.array([3.0, 0.0, 7.0, 1.5])
+    c2 = np.array([0.5, 2.0, 0.0, 4.0])
+    t = np.linspace(0.0, 2.0, 21) * 1e3
+    padded = _two_site_couplings(np.insert(c1, [0, 2, 2, 4], 0.0),
+                                 np.insert(c2, [0, 2, 2, 4], 0.0))
+    for kind in _WEIGHTS:
+        for occ in (None, 0.3):
+            want = simulate_bath_fid(_two_site_couplings(c1, c2), kind, t,
+                                     n_samples=300, seed=5, occupancy=occ)
+            got = simulate_bath_fid(padded, kind, t, n_samples=300, seed=5,
+                                    occupancy=occ)
+            assert np.array_equal(got.signal, want.signal)
+
+
+def test_chunked_draw_matches_one_dense_draw():
+    c1 = np.array([3.0, 0.0, 7.0, 1.5, 0.2])
+    c2 = np.array([0.5, 2.0, 0.0, 4.0, 0.0])
+    t = np.linspace(0.0, 3.0, 31) * 1e3
+    n, p, seed = 2 * BATH_CHUNK_SAMPLES + 37, 0.4, 13
+    # every site is coupled to a nucleus, so every kind draws all five:
+    # one uniform per (sample, site) gives +1/2 (u < p/2), -1/2
+    # (p/2 <= u < p) or an empty site
+    u = np.random.Generator(np.random.Philox(key=seed)).random((n, 5))
+    spins = np.where(u < p / 2, 0.5, np.where(u < p, -0.5, 0.0))
+    for kind, (w1, w2) in _WEIGHTS.items():
+        env = simulate_bath_fid(_two_site_couplings(c1, c2), kind, t,
+                                n_samples=n, seed=seed, occupancy=p)
+        theta = spins @ (2.0e-3 * math.pi * (w1 * c1 + w2 * c2))
+        dense = np.cos(np.outer(theta, t)).mean(axis=0)
+        np.testing.assert_allclose(env.signal, dense, rtol=0, atol=1e-12)
+        assert env.signal[0] == 1.0
+
+
+def test_bath_envelope_within_standard_errors_of_exact_product():
+    # independent sites, each +-1/2 with probability p/2: the ensemble mean
+    # of cos(theta t) is E(t) = prod_k [(1 - p) + p cos(omega_k t / 2)],
+    # and the variance of one sample is (1 + E(2t)) / 2 - E(t)^2
+    sites = classify_shells(generate_lattice(10.0))
+    pos = np.array([s.position for s in sites])
+    shells = np.array([s.shell for s in sites])
+    i1 = int(np.flatnonzero(shells == 1)[0])
+    i3 = int(np.flatnonzero(shells == 3)[0])
+    cpl = pair_couplings(np.delete(pos, [i1, i3], axis=0), pos[i1], pos[i3],
+                         near_radius_angstrom=10.0)
+    t = np.linspace(0.0, 4000.0, 161)
+    p, n = 0.03, 1000
+
+    def exact(omega, times):
+        return np.prod((1 - p) + p * np.cos(np.outer(times, omega) / 2),
+                       axis=1)
+
+    for kind, (w1, w2) in _WEIGHTS.items():
+        omega = 2.0e-3 * math.pi * (w1 * cpl.c1_khz + w2 * cpl.c2_khz)
+        e1, e2 = exact(omega, t), exact(omega, 2 * t)
+        se = np.sqrt(np.maximum((1 + e2) / 2 - e1 * e1, 0.0) / n)
+        env = simulate_bath_fid(cpl, kind, t, n_samples=n, seed=11,
+                                occupancy=p)
+        assert env.signal[0] == 1.0
+        assert np.all(np.abs(env.signal - e1) <= 6 * se + 1e-12), kind
 
 
 def test_pair_couplings_geometry():
