@@ -433,9 +433,9 @@ def cmd_bath(args) -> int:
                             radius_angstrom=float(cfg["radius_angstrom"]))
     sample = sample_bath(sites, float(cfg["concentration"]), args.seed)
     out = _out_dir(args)
-    rows = [(sites[i].position[0], sites[i].position[1],
-             sites[i].position[2], sites[i].shell)
-            for i in sample.site_indices]
+    rows = [(x, y, z, shell) for (x, y, z), shell in
+            zip(sample.positions.tolist(),
+                sites.shell[sample.site_indices].tolist())]
     path = _write_csv(os.path.join(out, "bath_sites.csv"),
                       ("x_angstrom", "y_angstrom", "z_angstrom", "shell"),
                       rows, digest, args.seed)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,10 +22,10 @@ NV_AXIS = (1 / math.sqrt(3),) * 3
 
 SITE_DENSITY_A3 = 8.0 / LATTICE_A_ANGSTROM ** 3  # carbon atoms per cubic Angstrom
 MAX_SITES = 10_000_000
+# Bound on the tracemalloc peak of classify_shells(generate_lattice(R)) per
+# site; measured 54-55 B at R = 20-60 A (numpy 2.4), so the cap allows ~0.6 GB.
+BYTES_PER_SITE = 60
 
-# conventional-cell basis in quarter-lattice units; B carries the nitrogen
-_BASIS_A = ((0, 0, 0), (0, 2, 2), (2, 0, 2), (2, 2, 0))
-_BASIS_B = ((1, 1, 1), (1, 3, 3), (3, 1, 3), (3, 3, 1))
 _NITROGEN_Q = (1, 1, 1)
 
 # C3v operations about [111] as coordinate permutations: two rotations and
@@ -48,6 +49,58 @@ class LatticeSite:
         return LATTICE_A_ANGSTROM / 4.0 * math.sqrt(sum(q * q for q in self.quarter))
 
 
+def _site(quarter: tuple, shell: int, sublattice: int) -> LatticeSite:
+    a4 = LATTICE_A_ANGSTROM / 4.0
+    return LatticeSite(position=(a4 * quarter[0], a4 * quarter[1],
+                                 a4 * quarter[2]),
+                       quarter=quarter, shell=shell, sublattice=sublattice)
+
+
+class Lattice(Sequence):
+    """Carbon sites stored as read-only arrays: ``quarter`` (N, 3) int32
+    quarter-lattice coordinates, ``shell`` (N,) int32 shell indices
+    (0 = unclassified) and ``sublattice`` (N,) int8 tags.
+
+    Indexing with an integer, and iteration, give LatticeSite views; any
+    other index (slice, index array, boolean mask) gives a Lattice.
+    """
+
+    __slots__ = ("quarter", "shell", "sublattice")
+
+    def __init__(self, quarter, shell, sublattice):
+        for arr in (quarter, shell, sublattice):
+            arr.flags.writeable = False  # classify_shells shares arrays
+        self.quarter = quarter
+        self.shell = shell
+        self.sublattice = sublattice
+
+    def __len__(self) -> int:
+        return len(self.shell)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return _site(tuple(self.quarter[i].tolist()), int(self.shell[i]),
+                         int(self.sublattice[i]))
+        return Lattice(self.quarter[i], self.shell[i], self.sublattice[i])
+
+    def __iter__(self):
+        for q, shell, sub in zip(self.quarter.tolist(), self.shell.tolist(),
+                                 self.sublattice.tolist()):
+            yield _site(tuple(q), shell, sub)
+
+
+def as_lattice(sites) -> Lattice:
+    """sites as a Lattice: a Lattice is returned as is, an iterable of
+    LatticeSite is packed into arrays in its own order."""
+    if isinstance(sites, Lattice):
+        return sites
+    sites = list(sites)
+    return Lattice(
+        np.array([s.quarter for s in sites], dtype=np.int32).reshape(-1, 3),
+        np.array([s.shell for s in sites], dtype=np.int32),
+        np.array([s.sublattice for s in sites], dtype=np.int8))
+
+
 def first_shell_positions():
     """Positions (Angstrom) of the three nearest-neighbor carbons."""
     a4 = LATTICE_A_ANGSTROM / 4.0
@@ -55,43 +108,56 @@ def first_shell_positions():
             for q in ((1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
 
 
-def generate_lattice(radius_angstrom: float) -> list:
+def _squared_norms(quarter) -> np.ndarray:
+    return np.einsum("ij,ij->i", quarter, quarter)
+
+
+def _fcc_quarters(offset: int, qmax: float) -> np.ndarray:
+    """Quarter coordinates within qmax of the fcc sublattice through
+    (offset, offset, offset), offset 0 or 1: every coordinate has the parity
+    of offset and the coordinate sum is 3 * offset modulo 4."""
+    m = int(qmax)
+    v = np.arange(-m, m + 1, dtype=np.int32)
+    v = v[(v - offset) % 2 == 0]
+    sq = v * v
+    inside = sq[:, None, None] + sq[None, :, None] + sq[None, None, :] \
+        <= qmax * qmax
+    r = (v % 4).astype(np.int8)
+    inside &= (r[:, None, None] + r[None, :, None] + r[None, None, :]) % 4 \
+        == 3 * offset % 4
+    i, j, k = np.nonzero(inside)
+    return np.stack((v[i], v[j], v[k]), axis=1)
+
+
+def generate_lattice(radius_angstrom: float) -> Lattice:
     """All carbon sites within radius of the vacancy, vacancy and nitrogen
-    excluded, ordered by (distance, quarter coordinates)."""
+    excluded, ordered by (distance, quarter coordinates); unclassified."""
     if radius_angstrom <= 0:
         raise ValidationError("radius must be positive")
     est = 4.0 / 3.0 * math.pi * radius_angstrom ** 3 * SITE_DENSITY_A3
     if est > MAX_SITES:
         raise ResourceLimitError(
             f"radius {radius_angstrom:g} A implies ~{est:.2e} sites "
-            f"(cap {MAX_SITES:.0e})")
+            f"(cap {MAX_SITES:.0e} sites, "
+            f"~{MAX_SITES * BYTES_PER_SITE / 1e9:.1f} GB to generate and "
+            "classify)")
 
-    a4 = LATTICE_A_ANGSTROM / 4.0
-    qmax = radius_angstrom / a4
-    ncells = int(math.ceil(qmax / 4.0)) + 1
-    rng = np.arange(-ncells, ncells + 1)
-    i, j, k = np.meshgrid(rng, rng, rng, indexing="ij")
-    cells = np.stack([i.ravel(), j.ravel(), k.ravel()], axis=1) * 4
-
-    out = []
-    q2max = qmax * qmax
-    for sub, basis in ((0, _BASIS_A), (1, _BASIS_B)):
-        pts = (cells[:, None, :] + np.array(basis)[None, :, :]).reshape(-1, 3)
-        d2 = np.einsum("ij,ij->i", pts, pts)
-        keep = (d2 <= q2max) & (d2 > 0)
-        for q, qq in zip(pts[keep], d2[keep]):
-            qt = (int(q[0]), int(q[1]), int(q[2]))
-            if sub == 1 and qt == _NITROGEN_Q:
-                continue
-            out.append((int(qq), qt, sub))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return [LatticeSite(position=tuple(a4 * c for c in qt), quarter=qt,
-                        sublattice=sub)
-            for _, qt, sub in out]
+    qmax = radius_angstrom / (LATTICE_A_ANGSTROM / 4.0)
+    a, b = _fcc_quarters(0, qmax), _fcc_quarters(1, qmax)
+    quarter = np.concatenate((a, b))
+    sublattice = np.repeat(np.array([0, 1], dtype=np.int8), (len(a), len(b)))
+    del a, b
+    d2 = _squared_norms(quarter)
+    keep = (d2 > 0) & ~np.all(quarter == _NITROGEN_Q, axis=1)
+    quarter, sublattice, d2 = quarter[keep], sublattice[keep], d2[keep]
+    order = np.lexsort((quarter[:, 2], quarter[:, 1], quarter[:, 0], d2))
+    return Lattice(quarter[order], np.zeros(len(order), dtype=np.int32),
+                   sublattice[order])
 
 
 def positions_of(sites) -> np.ndarray:
-    return np.array([s.position for s in sites], dtype=float)
+    """(N, 3) site positions in Angstrom, from the quarter coordinates."""
+    return as_lattice(sites).quarter * (LATTICE_A_ANGSTROM / 4.0)
 
 
 def _orbit_key(quarter):
@@ -115,42 +181,30 @@ _SPLIT_D2 = 11
 _SPLIT_POLAR_SUM = -5
 
 
-def classify_shells(sites, radius_angstrom=None) -> list:
+def classify_shells(sites, radius_angstrom=None) -> Lattice:
     """Assign 1-based shell indices by distance class from the vacancy.
 
     The third distance class is subdivided into the 9-site near-equatorial
     class and the 3-site polar orbit; all later classes shift by one. Warns when the outermost
     shell is not closed under C3v (truncated input) or sits at the
-    generation radius boundary.
+    generation radius boundary. Sites keep their input order.
     """
-    if not sites:
-        return []
-    d2s = sorted({sum(q * q for q in s.quarter) for s in sites})
-    index_of = {}
-    idx = 1
-    for d2 in d2s:
-        if d2 == _SPLIT_D2:
-            index_of[(d2, "equatorial")] = idx
-            index_of[(d2, "polar")] = idx + 1
-            idx += 2
-        else:
-            index_of[d2] = idx
-            idx += 1
+    lat = as_lattice(sites)
+    if not len(lat):
+        return lat
+    q = lat.quarter
+    d2 = _squared_norms(q)
+    classes, shell = np.unique(d2, return_inverse=True)
+    shell = shell.astype(np.int32) + 1
+    if np.any(classes == _SPLIT_D2):
+        shell += d2 > _SPLIT_D2
+        shell += (d2 == _SPLIT_D2) & (q.sum(axis=1) == _SPLIT_POLAR_SUM)
+    out = Lattice(q, shell, lat.sublattice)
 
-    def shell_for(s):
-        d2 = sum(q * q for q in s.quarter)
-        if d2 == _SPLIT_D2:
-            kind = "polar" if sum(s.quarter) == _SPLIT_POLAR_SUM else "equatorial"
-            return index_of[(d2, kind)]
-        return index_of[d2]
-
-    out = [replace(s, shell=shell_for(s)) for s in sites]
-
-    outer_d2 = d2s[-1]
-    outer = [s for s in out if sum(q * q for q in s.quarter) == outer_d2]
-    have = {s.quarter for s in outer}
-    closed = all(tuple(s.quarter[p] for p in perm) in have
-                 for s in outer for perm in _C3V_PERMS)
+    outer_d2 = int(classes[-1])
+    have = set(map(tuple, q[d2 == outer_d2].tolist()))
+    closed = all((s[i], s[j], s[k]) in have
+                 for s in have for i, j, k in _C3V_PERMS)
     if not closed:
         warnings.warn("outermost shell is not C3v-closed; the site list "
                       "appears truncated mid-shell", stacklevel=2)
@@ -164,13 +218,13 @@ def classify_shells(sites, radius_angstrom=None) -> list:
 
 def shell_summary(sites) -> dict:
     """{shell index: (site count, distance in Angstrom)} for classified sites."""
-    table = {}
-    for s in sites:
-        if s.shell == 0:
-            continue
-        cnt, _ = table.get(s.shell, (0, s.distance))
-        table[s.shell] = (cnt + 1, s.distance)
-    return table
+    lat = as_lattice(sites)
+    shells, first, counts = np.unique(lat.shell, return_index=True,
+                                      return_counts=True)
+    d2 = _squared_norms(lat.quarter[first]).tolist()
+    return {shell: (count, LATTICE_A_ANGSTROM / 4.0 * math.sqrt(q2))
+            for shell, count, q2 in zip(shells.tolist(), counts.tolist(), d2)
+            if shell != 0}
 
 
 def shell_occupancy_probability(multiplicity: int, n: float, k: int = None):
@@ -229,12 +283,12 @@ def sample_bath(sites, n: float, seed: int,
     """
     if not 0.0 <= n <= 1.0:
         raise ValidationError("concentration must lie in [0, 1]")
+    lat = as_lattice(sites)
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    u = gen.random(len(sites))
+    u = gen.random(len(lat))
     idx = np.flatnonzero(u < n)
-    pos = positions_of([sites[i] for i in idx]) if len(idx) else \
-        np.zeros((0, 3))
-    coup = electron_coupling_khz(pos, constants) if len(idx) else np.zeros(0)
+    pos = positions_of(lat[idx])
     return BathSample(seed=int(seed), concentration=float(n),
-                      site_indices=idx, positions=pos, couplings_khz=coup,
-                      n_sites_total=len(sites))
+                      site_indices=idx, positions=pos,
+                      couplings_khz=electron_coupling_khz(pos, constants),
+                      n_sites_total=len(lat))

@@ -23,7 +23,7 @@ from . import _kernels
 from .constants import (CONSTANTS, PhysicalConstants, THIRD_SHELL_A_MHZ,
                         THIRD_SHELL_MULTIPLICITY)
 from .errors import InsufficientSitesError, ValidationError
-from .lattice import NV_AXIS, classify_shells, positions_of
+from .lattice import NV_AXIS, as_lattice, classify_shells, positions_of
 
 # Reference lattice coefficient for the dipolar model (cm^-6 per unit
 # concentration); dipolar_second_moment_sum reproduces it from the lattice.
@@ -86,11 +86,10 @@ def dipolar_second_moment_sum(sites, exclude_shells=(1, 2),
         raise InsufficientSitesError(
             f"{len(sites)} sites supplied; need >= {MIN_SITES_FOR_SUM} "
             "for a converged sum")
-    if any(s.shell == 0 for s in sites):
+    sites = as_lattice(sites)
+    if np.any(sites.shell == 0):
         sites = classify_shells(sites)
-    excluded = set(exclude_shells)
-    kept = [s for s in sites if s.shell not in excluded]
-    pos = positions_of(kept)
+    pos = positions_of(sites[~np.isin(sites.shell, tuple(exclude_shells))])
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
     total_a6 = _kernels.second_moment_sum(pos, axis)  # Angstrom^-6

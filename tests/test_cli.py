@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from nvbath.cli import main, read_decay_csv
+from lattice_reference import reference_sites
+from nvbath.cli import _fmt_cell, main, read_decay_csv
 from nvbath.decoherence import fid_model
 from nvbath.errors import ValidationError
 from nvbath.pulses import Register, bell_sequence, format_sequence
@@ -211,6 +212,19 @@ def test_bath_sampling_deterministic(tmp_path):
                       + float(row["y_angstrom"]) ** 2
                       + float(row["z_angstrom"]) ** 2)
         assert r <= 10.0 + 1e-9
+
+
+def test_bath_rows_match_per_site_reference(tmp_path):
+    assert main(["bath", "--radius", "12", "--concentration", "0.05",
+                 "--seed", "5", "--out-dir", str(tmp_path)]) == 0
+    ref = reference_sites(12.0)
+    u = np.random.Generator(np.random.Philox(key=5)).random(len(ref))
+    want = [",".join(_fmt_cell(c) for c in (*ref[i].position, ref[i].shell))
+            for i in np.flatnonzero(u < 0.05)]
+    lines = (tmp_path / "bath_sites.csv").read_text().splitlines()
+    data = lines[lines.index("x_angstrom,y_angstrom,z_angstrom,shell") + 1:]
+    assert len(want) > 20
+    assert data == want
 
 
 def test_pulse_sequence_file_runs(tmp_path):

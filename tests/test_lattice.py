@@ -1,21 +1,28 @@
 """Diamond lattice generation, shell classification and bath sampling.
 
 The generation oracle re-enumerates the lattice with a deliberately naive
-double loop over conventional cells, so any indexing mistake in the
-vectorized generator shows up as a set mismatch.
+double loop over conventional cells (lattice_reference.py), so any indexing
+mistake in the vectorized generator shows up as a mismatch.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lattice_reference import (brute_force_quarters, reference_shells,
+                               reference_sites)
 from nvbath.constants import CONSTANTS, LATTICE_A_ANGSTROM
 from nvbath.errors import ResourceLimitError, ValidationError
 from nvbath.lattice import (
+    BYTES_PER_SITE,
     NV_AXIS,
     SITE_DENSITY_A3,
+    Lattice,
     classify_shells,
     electron_coupling_khz,
     first_shell_positions,
@@ -28,33 +35,63 @@ from nvbath.lattice import (
 )
 
 
-def brute_force_quarters(radius_angstrom):
-    """Independent enumeration: loop every basis atom of every cell."""
-    a4 = LATTICE_A_ANGSTROM / 4.0
-    basis = [((0, 0, 0), 0), ((0, 2, 2), 0), ((2, 0, 2), 0), ((2, 2, 0), 0),
-             ((1, 1, 1), 1), ((1, 3, 3), 1), ((3, 1, 3), 1), ((3, 3, 1), 1)]
-    span = int(math.ceil(radius_angstrom / LATTICE_A_ANGSTROM)) + 1
-    found = set()
-    for i in range(-span, span + 1):
-        for j in range(-span, span + 1):
-            for k in range(-span, span + 1):
-                for (bx, by, bz), sub in basis:
-                    q = (4 * i + bx, 4 * j + by, 4 * k + bz)
-                    d = a4 * math.sqrt(q[0] ** 2 + q[1] ** 2 + q[2] ** 2)
-                    if d == 0.0 or d > radius_angstrom:
-                        continue
-                    if q == (1, 1, 1):
-                        continue  # nitrogen site
-                    found.add((q, sub))
-    return found
-
-
 def test_matches_brute_force_enumeration():
     for radius in (2.0, 6.0, 15.0):
         sites = generate_lattice(radius)
         got = {(s.quarter, s.sublattice) for s in sites}
         assert got == brute_force_quarters(radius)
         assert len(got) == len(sites)  # no duplicates
+
+
+@settings(max_examples=40, deadline=None)
+@given(radius=st.floats(1.6, 14.0), subset_seed=st.integers(0, 2 ** 32 - 1))
+def test_arrays_match_per_site_reference(radius, subset_seed):
+    lat = classify_shells(generate_lattice(radius))
+    ref = reference_sites(radius)
+    assert list(lat) == ref  # order, quarter, sublattice, shell, position
+    assert [lat[i] for i in range(len(lat))] == ref
+    assert lat.quarter.tolist() == [list(s.quarter) for s in ref]
+    assert lat.shell.tolist() == [s.shell for s in ref]
+    assert lat.sublattice.tolist() == [s.sublattice for s in ref]
+    np.testing.assert_array_equal(positions_of(lat),
+                                  np.array([s.position for s in ref]))
+    # a plain list of LatticeSite classifies like the array type
+    assert classify_shells(list(generate_lattice(radius))).shell.tolist() \
+        == lat.shell.tolist()
+    # so does a shuffled, partial list, warning exactly when the reference
+    # finds its outermost class open under C3v
+    rng = np.random.default_rng(subset_seed)
+    pick = rng.permutation(len(ref))[:rng.integers(1, len(ref) + 1)]
+    part = [ref[i] for i in pick]
+    want, closed = reference_shells(part)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = classify_shells(part)
+    assert got.shell.tolist() == want
+    assert any("C3v-closed" in str(w.message) for w in caught) == (not closed)
+
+
+def test_lattice_sequence_views():
+    lat = classify_shells(generate_lattice(6.0))
+    sites = list(lat)
+    assert len(lat) == len(sites) == 157
+    assert lat[-1] == sites[-1]
+    head = lat[:40]
+    assert isinstance(head, Lattice) and list(head) == sites[:40]
+    assert list(lat[np.array([5, 0])]) == [sites[5], sites[0]]
+    assert list(lat[lat.shell == 3]) == [s for s in sites if s.shell == 3]
+    with pytest.raises(ValueError):
+        lat.shell[0] = 7  # classify_shells shares arrays between lattices
+
+
+def test_peak_memory_per_site_within_bound():
+    tracemalloc.start()
+    try:
+        sites = classify_shells(generate_lattice(20.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= BYTES_PER_SITE * len(sites)
 
 
 def test_radius_2_gives_exactly_first_shell():
@@ -117,7 +154,7 @@ def test_site_count_tracks_density():
 
 
 def test_radius_cap():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=r"cap 1e\+07 sites, ~0\.6 GB"):
         generate_lattice(10_000.0)
     with pytest.raises(ValidationError):
         generate_lattice(-1.0)
@@ -204,3 +241,6 @@ def test_bath_couplings_match_positions():
                                electron_coupling_khz(s.positions),
                                rtol=1e-15)
     assert s.n_sites_total == len(sites)
+    empty = sample_bath(sites, 0.0, seed=3)
+    assert empty.count == 0
+    assert empty.positions.shape == (0, 3) and empty.couplings_khz.shape == (0,)
