@@ -14,12 +14,12 @@ degenerate fits).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -88,12 +88,13 @@ def _out_dir(args) -> str:
     return d
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.10g}"
-    return str(v)
+@functools.cache
+def _row_format(types) -> str:
+    """printf format of a CSV row from its cell types: integers as %d,
+    floats as %.10g (the same text as f"{x:.10g}"), anything else as %s."""
+    return ",".join("%d" if issubclass(t, (int, np.integer))
+                    else "%.10g" if issubclass(t, (float, np.floating))
+                    else "%s" for t in types)
 
 
 def _write_csv(path, columns, rows, digest, seed, extra_comments=()):
@@ -103,19 +104,11 @@ def _write_csv(path, columns, rows, digest, seed, extra_comments=()):
     lines.extend(f"# {c}" for c in extra_comments)
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt_cell(c) for c in row))
+        row = tuple(row)
+        lines.append(_row_format(tuple(map(type, row))) % row)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
-
-
-def _pmap(fn, items, threads: int):
-    """Order-preserving map, threaded when threads > 1."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _parse_floats(text: str, what: str):
@@ -343,10 +336,7 @@ def cmd_linewidth(args) -> int:
         coeff = dipolar_second_moment_sum(sites)
         print(f"lattice coefficient {coeff:.4e} cm^-6 "
               f"(reference {DIPOLAR_COEFF_CM6:.4e})")
-    points = _pmap(
-        lambda n: linewidth_curve([n], regime=cfg["regime"],
-                                  coeff_cm6=coeff)[0],
-        n_values, args.threads)
+    points = linewidth_curve(n_values, regime=cfg["regime"], coeff_cm6=coeff)
     out = _out_dir(args)
     path = _write_csv(
         os.path.join(out, "linewidth.csv"),
@@ -523,22 +513,17 @@ def cmd_pulse(args) -> int:
             raise ValidationError("--rabi takes CHANNEL I J with integer "
                                   "level indices") from None
         t = np.linspace(0.0, args.t_max, args.points)
-        chunks = np.array_split(t, max(args.threads, 1))
-        results = _pmap(
-            lambda tc: rabi_simulate(register, channel.lower(), i, j, tc,
-                                     power=args.power),
-            [c for c in chunks if len(c)], args.threads)
-        pop = np.concatenate([curve.signal for curve, _ in results])
-        omega = results[0][1]
+        curve, omega = rabi_simulate(register, channel.lower(), i, j, t,
+                                     power=args.power)
         path = _write_csv(os.path.join(out, "rabi.csv"),
-                          ("t_us", "population"), zip(t, pop), digest,
+                          ("t_us", "population"), zip(t, curve.signal), digest,
                           args.seed)
         print(f"Rabi frequency {omega:.6g} MHz at power {args.power:g}")
         print(f"wrote {path}")
         if args.plot:
             svg = svgplot.write_plot(
                 os.path.join(out, "rabi.svg"),
-                [{"x": t, "y": pop}], xlabel="t (us)",
+                [{"x": t, "y": curve.signal}], xlabel="t (us)",
                 ylabel="transfer probability", title="Rabi oscillation")
             print(f"wrote {svg}")
         return EXIT_OK
@@ -589,7 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed recorded in outputs and used for "
                              "sampling (default 0)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid sweeps (default 1)")
+                        help="accepted for compatibility; every "
+                             "computation runs in one thread")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", parents=[common],
@@ -668,8 +654,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, ResourceLimitError) as exc:

@@ -11,8 +11,9 @@ neglected). Free evolution accumulates exact eigenphases.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +23,6 @@ from .spinsys import (SX1, SY1, SZ1, SpinSystemSpec, build_hamiltonian,
 
 DEGENERACY_TOL_MHZ = 1e-9
 
-# below this product-state overlap, a level's label does not describe the
-# eigenstate (near-degenerate mixing, e.g. equivalent nuclei) and selective
-# label addressing is refused
 # Addressing gate: a level's assigned label must dominate the runner-up
 # candidate by MIN_LABEL_CONTRAST and carry at least MIN_LABEL_OVERLAP of
 # the state.  Symmetry-mixed levels (equivalent nuclei) sit near 50/50
@@ -82,6 +80,7 @@ class Register:
         self.labels, self.label_overlap, self.label_contrast = \
             self._assign_labels()
         self.index = {lab: k for k, lab in enumerate(self.labels)}
+        self._transition_table()
 
     def _electron_states(self):
         axis = np.asarray(self.spec.zfs.axis, dtype=float)
@@ -137,38 +136,58 @@ class Register:
         return spinors
 
     def _comparison_states(self):
-        n = self.n_nuclei
+        """Comparison states as columns, one Kronecker chain per manifold
+        (m_s = +1, 0, -1) of the electron state with each nucleus's 2x2
+        spinor matrix (columns bit 0, bit 1), so that nucleus 0 is the
+        most significant bit within a manifold."""
         evec = self._electron_states()
         spinors = self._nuclear_spinors(evec)
-        states, labels = [], []
+        rows, labels = [], []
         for ms in (1, 0, -1):
-            for nn in range(2 ** n):
-                bits = tuple((nn >> (n - 1 - q)) & 1 for q in range(n))
-                v = evec[ms]
-                for q, b in enumerate(bits):
-                    v = np.kron(v, spinors[q][ms][b])
-                states.append(v)
-                labels.append((ms, bits))
-        return np.array(states).T, labels  # columns are comparison states
+            chain = evec[ms][:, None]
+            for by_ms in spinors:
+                chain = np.kron(chain, np.column_stack(by_ms[ms]))
+            rows.append(chain.T)
+            labels += [(ms, bits) for bits in
+                       itertools.product((0, 1), repeat=self.n_nuclei)]
+        return np.vstack(rows).T, labels
 
     def _assign_labels(self):
         basis, prod_labels = self._comparison_states()
         overlap = np.abs(basis.conj().T @ self.eig.vectors) ** 2
-        order = np.dstack(np.unravel_index(
-            np.argsort(overlap, axis=None)[::-1], overlap.shape))[0]
-        labels = [None] * self.dim
-        fidelity = np.zeros(self.dim)
-        contrast = np.zeros(self.dim)
-        used_p = [False] * self.dim
-        for p, k in order:
-            if labels[k] is None and not used_p[p]:
-                labels[k] = prod_labels[p]
-                fidelity[k] = overlap[p, k]
-                runner_up = max(overlap[pp, k] for pp in range(self.dim)
-                                if pp != p)
-                contrast[k] = overlap[p, k] / max(runner_up, 1e-300)
-                used_p[p] = True
-        return labels, fidelity, contrast
+        # greedy: the largest remaining overlap gives its comparison state's
+        # label to its level, until every level has one
+        rows, cols = np.unravel_index(np.argsort(overlap, axis=None)[::-1],
+                                      overlap.shape)
+        owner = [-1] * self.dim
+        used = [False] * self.dim
+        left = self.dim
+        for p, k in zip(rows.tolist(), cols.tolist()):
+            if owner[k] < 0 and not used[p]:
+                owner[k] = p
+                used[p] = True
+                left -= 1
+                if not left:
+                    break
+        fidelity = overlap[owner, np.arange(self.dim)]
+        second, first = np.sort(overlap, axis=0)[-2:]
+        runner_up = np.where(fidelity == first, second, first)
+        contrast = fidelity / np.maximum(runner_up, 1e-300)
+        return [prod_labels[p] for p in owner], fidelity, contrast
+
+    def _transition_table(self):
+        """Level pairs p < q in row-major order, their |E_q - E_p| and, per
+        channel, whether the labels allow the pair: MW changes m_s by one
+        and flips no nucleus, RF keeps m_s and flips exactly one."""
+        p, q = np.triu_indices(self.dim, 1)
+        ms = np.array([m for m, _ in self.labels])
+        bits = np.array([b for _, b in self.labels],
+                        dtype=int).reshape(self.dim, self.n_nuclei)
+        flips = (bits[p] != bits[q]).sum(axis=1)
+        self._pair_levels = (p, q)
+        self._pair_freq = np.abs(self.eig.values[q] - self.eig.values[p])
+        self._pair_allowed = {"mw": (np.abs(ms[p] - ms[q]) == 1) & (flips == 0),
+                              "rf": (ms[p] == ms[q]) & (flips == 1)}
 
     def level(self, ms: int, bits) -> int:
         """Eigenstate index of the labeled level."""
@@ -189,12 +208,9 @@ class Register:
     def mixed_nuclei_state(self, ms: int = 0) -> "RegisterState":
         """Default initialization: chosen m_s manifold, maximally mixed
         nuclei."""
-        rho = np.zeros((self.dim, self.dim), dtype=complex)
         w = 1.0 / 2 ** self.n_nuclei
-        for k, (m, _) in enumerate(self.labels):
-            if m == ms:
-                rho[k, k] = w
-        return RegisterState(self, rho)
+        rho = np.diag([w if m == ms else 0.0 for m, _ in self.labels])
+        return RegisterState(self, rho.astype(complex))
 
 
 class RegisterState:
@@ -279,15 +295,6 @@ class Wait:
             raise ValidationError("wait time must be nonnegative")
 
 
-def _channel_allows(channel: str, lab_a, lab_b) -> bool:
-    ms_a, bits_a = lab_a
-    ms_b, bits_b = lab_b
-    flips = sum(x != y for x, y in zip(bits_a, bits_b))
-    if channel == "mw":
-        return abs(ms_a - ms_b) == 1 and flips == 0
-    return ms_a == ms_b and flips == 1
-
-
 def _validate_target(register: Register, pulse: Pulse):
     dim = register.dim
     if not (0 <= pulse.i < dim and 0 <= pulse.j < dim):
@@ -303,7 +310,10 @@ def _validate_target(register: Register, pulse: Pulse):
                 f"{register.label_overlap[k]:.2f}, contrast "
                 f"{register.label_contrast[k]:.2f}); its label does not "
                 "identify a single addressable level")
-    if not _channel_allows(pulse.channel, lab_i, lab_j):
+    lo, hi = sorted((pulse.i, pulse.j))
+    target = lo * dim - lo * (lo + 1) // 2 + hi - lo - 1  # triu_indices order
+    allowed = register._pair_allowed[pulse.channel]
+    if not allowed[target]:
         if pulse.channel == "mw":
             raise ValidationError(
                 f"MW pulse must drive an electron transition preserving the "
@@ -317,19 +327,16 @@ def _validate_target(register: Register, pulse: Pulse):
             f"levels {pulse.i} and {pulse.j} are degenerate; the transition "
             "cannot be addressed selectively")
     # a resonant drive hits every same-channel transition at this frequency
-    for p in range(dim):
-        for q in range(p + 1, dim):
-            if {p, q} == {pulse.i, pulse.j}:
-                continue
-            if not _channel_allows(pulse.channel, register.labels[p],
-                                   register.labels[q]):
-                continue
-            if abs(abs(register.freq_mhz(p, q)) - f_target) \
-                    < DEGENERACY_TOL_MHZ:
-                raise AmbiguousTransitionError(
-                    f"transition {pulse.i}->{pulse.j} at "
-                    f"{f_target:.6f} MHz collides with {p}->{q}; it cannot "
-                    "be addressed selectively")
+    clash = allowed & (np.abs(register._pair_freq - f_target)
+                       < DEGENERACY_TOL_MHZ)
+    clash[target] = False
+    if clash.any():
+        first = int(np.argmax(clash))  # the first pair in row-major order
+        p, q = (int(levels[first]) for levels in register._pair_levels)
+        raise AmbiguousTransitionError(
+            f"transition {pulse.i}->{pulse.j} at "
+            f"{f_target:.6f} MHz collides with {p}->{q}; it cannot "
+            "be addressed selectively")
     if pulse.control is not None:
         q, s = pulse.control
         if not 0 <= q < register.n_nuclei:

@@ -189,55 +189,60 @@ class SpinSystemSpec:
         return 3 * 2 ** self.n_nuclei
 
 
-def _embed(op_e, ops_n, n):
-    """Kron of one electron operator with per-nucleus operators (identity
-    where ops_n has None)."""
-    out = op_e
-    for i in range(n):
-        op = ops_n.get(i) if ops_n else None
-        out = np.kron(out, ID2 if op is None else op)
-    return out
-
-
 def electron_ops(spec: SpinSystemSpec):
     """(Sx, Sy, Sz) embedded in the full register space."""
-    n = spec.n_nuclei
-    return tuple(_embed(s, None, n) for s in (SX1, SY1, SZ1))
+    ops = (SX1, SY1, SZ1)
+    for _ in range(spec.n_nuclei):
+        ops = tuple(np.kron(s, ID2) for s in ops)
+    return ops
 
 
-def nuclear_ops(spec: SpinSystemSpec, i: int):
-    """(Ix, Iy, Iz) of nucleus i embedded in the full register space."""
-    if not 0 <= i < spec.n_nuclei:
-        raise ValidationError(f"nucleus index {i} out of range")
-    eye3 = np.eye(3, dtype=complex)
-    return tuple(_embed(eye3, {i: op}, spec.n_nuclei)
-                 for op in (IXH, IYH, IZH))
+# S_p (x) I_q and 1 (x) I_q on (electron, one nucleus): the 6x6 blocks of the
+# hyperfine and nuclear Zeeman terms
+_HYPERFINE_BLOCKS = [[np.kron(s, i) for i in (IXH, IYH, IZH)]
+                     for s in (SX1, SY1, SZ1)]
+_NUCLEAR_BLOCKS = [np.kron(np.eye(3, dtype=complex), i)
+                   for i in (IXH, IYH, IZH)]
 
 
 def build_hamiltonian(spec: SpinSystemSpec) -> np.ndarray:
-    """Full Hamiltonian matrix in MHz (Hermitian, dimension 3*2^N)."""
+    """Full Hamiltonian matrix in MHz (Hermitian, dimension 3*2^N).
+
+    Each nucleus's hyperfine and Zeeman terms act on the electron and that
+    nucleus only, so they are added as 6x6 blocks at their support entries.
+    Every entry sees the same additions in the same order as the dense
+    operator sum (ZFS, electron Zeeman, then per nucleus S_p a_pq I_q for
+    p, q in turn and its Zeeman term), so H is bitwise that sum.
+    """
     c = spec.constants
     n = spec.n_nuclei
     axis = np.asarray(spec.zfs.axis, dtype=float)
     bvec = spec.field.gauss * np.asarray(spec.field.direction, dtype=float)
 
-    sx, sy, sz = electron_ops(spec)
-    svec = (sx, sy, sz)
-
-    s_axis = axis[0] * sx + axis[1] * sy + axis[2] * sz
+    # the ZFS square is a full-size product: BLAS rounds it differently at
+    # each matrix size, and the operator sum defines H at this size
+    eye = np.eye(2 ** n)
+    s_axis = np.kron(axis[0] * SX1 + axis[1] * SY1 + axis[2] * SZ1, eye)
     h = spec.zfs.d_mhz * (s_axis @ s_axis)
-    h = h + c.electron_mhz_per_gauss * (bvec[0] * sx + bvec[1] * sy + bvec[2] * sz)
+    h = h + np.kron(c.electron_mhz_per_gauss
+                    * (bvec[0] * SX1 + bvec[1] * SY1 + bvec[2] * SZ1), eye)
 
+    ix, iy, iz = _NUCLEAR_BLOCKS
+    zeeman = c.nuclear_mhz_per_gauss * (bvec[0] * ix + bvec[1] * iy
+                                        + bvec[2] * iz)
     for i, tens in enumerate(spec.hyperfine):
         a = tens.tensor(axis)
-        ix, iy, iz = nuclear_ops(spec, i)
-        ivec = (ix, iy, iz)
+        # register index (m_s, nuclei before i, m_I, nuclei after i) ->
+        # one row of six per setting of the other nuclei
+        idx = np.arange(3 * 2 ** n).reshape(3, 2 ** i, 2, -1) \
+            .transpose(1, 3, 0, 2).reshape(-1, 6)
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        blocks = h[rows, cols]
         for p in range(3):
             for q in range(3):
                 if a[p, q] != 0.0:
-                    h = h + a[p, q] * (svec[p] @ ivec[q])
-        h = h - c.nuclear_mhz_per_gauss * (
-            bvec[0] * ix + bvec[1] * iy + bvec[2] * iz)
+                    blocks = blocks + a[p, q] * _HYPERFINE_BLOCKS[p][q]
+        h[rows, cols] = blocks - zeeman
     return h
 
 
@@ -302,21 +307,21 @@ def esr_transitions(spec: SpinSystemSpec, window=None, floor=1e-4,
     m = eig.vectors.conj().T @ sxp @ eig.vectors
     w2 = np.abs(m) ** 2
 
-    lines = []
-    dim = len(eig.values)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            f = float(eig.values[j] - eig.values[i])
-            if window is not None and not (lo <= f <= hi):
-                continue
-            lines.append((f, float(w2[j, i]), i, j))
-    total = sum(w for _, w, _, _ in lines)
+    i, j = np.triu_indices(len(eig.values), 1)
+    f = eig.values[j] - eig.values[i]
+    w = w2[j, i]
+    if window is not None:
+        keep = (lo <= f) & (f <= hi)
+        i, j, f, w = i[keep], j[keep], f[keep], w[keep]
+    total = sum(w.tolist())  # sequential, in (i, j) row-major order
     if total <= 0.0:
         return []
-    out = [TransitionLine(f, w / total, i, j)
-           for f, w, i, j in lines if w / total >= floor]
-    out.sort(key=lambda t: t.freq_mhz)
-    return out
+    w = w / total
+    keep = np.flatnonzero(w >= floor)
+    keep = keep[np.argsort(f[keep], kind="stable")]
+    return [TransitionLine(*line) for line in zip(
+        f[keep].tolist(), w[keep].tolist(), i[keep].tolist(),
+        j[keep].tolist())]
 
 
 @dataclass(frozen=True)
@@ -352,8 +357,5 @@ def synth_spectrum(lines, grid, fwhm_mhz) -> Spectrum:
     sigma = fwhm_mhz / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     centers = np.array([l.freq_mhz for l in lines], dtype=float)
     amps = np.array([l.intensity for l in lines], dtype=float)
-    if len(centers) == 0:
-        y = np.zeros_like(f)
-    else:
-        y = _kernels.gaussian_mixture(centers, amps, sigma, f)
+    y = _kernels.gaussian_mixture(centers, amps, sigma, f)
     return Spectrum(freq_mhz=f, intensity=y, fwhm_mhz=float(fwhm_mhz))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lattice_reference import reference_sites
-from nvbath.cli import _fmt_cell, main, read_decay_csv
+from nvbath.cli import _row_format, main, read_decay_csv
 from nvbath.decoherence import fid_model
 from nvbath.errors import ValidationError
 from nvbath.pulses import Register, bell_sequence, format_sequence
@@ -219,7 +219,8 @@ def test_bath_rows_match_per_site_reference(tmp_path):
                  "--seed", "5", "--out-dir", str(tmp_path)]) == 0
     ref = reference_sites(12.0)
     u = np.random.Generator(np.random.Philox(key=5)).random(len(ref))
-    want = [",".join(_fmt_cell(c) for c in (*ref[i].position, ref[i].shell))
+    want = [",".join([*(f"{x:.10g}" for x in ref[i].position),
+                      str(ref[i].shell)])
             for i in np.flatnonzero(u < 0.05)]
     lines = (tmp_path / "bath_sites.csv").read_text().splitlines()
     data = lines[lines.index("x_angstrom,y_angstrom,z_angstrom,shell") + 1:]
@@ -260,6 +261,37 @@ def test_pulse_rabi_sweep(tmp_path, capsys):
     rows = read_rows(tmp_path / "rabi.csv")
     assert len(rows) == 41
     assert abs(float(rows[0]["population"])) <= 1e-12
+
+
+def test_pulse_rabi_thread_count_does_not_change_output(tmp_path):
+    reg = cli_register()
+    i, j = reg.level(-1, (0, 0)), reg.level(-1, (1, 0))
+    outs = []
+    for threads in ("1", "2"):
+        d = tmp_path / threads
+        assert main(["pulse", "--field", "83", "--first-shell", "0",
+                     "--third-shell", "1", "--rabi", "rf", str(i), str(j),
+                     "--t-max", "3", "--points", "77", "--power", "1.7",
+                     "--threads", threads, "--out-dir", str(d)]) == 0
+        outs.append((d / "rabi.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_row_format_matches_format_spec():
+    floats = [0.0, -0.0, math.inf, -math.inf, math.nan, 2.964393875e-323,
+              5e-324, -3.458459521e-323, 2.2250738585072014e-308, 1e-300,
+              1.2345678901234567e-7, 0.1, 1.0 / 3.0, -2.5, 123456789.0,
+              12345678901.0, 1e22, 1.7976931348623157e308]
+    cells = floats + [np.float64(x) for x in floats] \
+        + [np.float32(0.1), np.float32(-0.0)]
+    for x in cells:
+        assert _row_format((type(x),)) % (x,) == f"{float(x):.10g}", x
+    ints = [0, -7, 2 ** 70, np.int64(-3), np.int32(12), np.uint8(255),
+            True]
+    for k in ints:
+        assert _row_format((type(k),)) % (k,) == str(int(k)), k
+    row = (np.float64(2.5), np.int64(4), "11", -1)
+    assert _row_format(tuple(map(type, row))) % row == "2.5,4,11,-1"
 
 
 def test_pulse_bell_and_endor(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""The jitted kernels and their numpy twins must agree to rounding."""
+"""The jitted kernels and their numpy twins must agree to rounding; the
+windowed Gaussian mixture must print like the dense sum."""
 
 import os
 import subprocess
@@ -40,12 +41,30 @@ def test_phase_envelope_matches_numpy_twin():
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
-def test_gaussian_mixture_matches_numpy_twin():
+def dense_gaussian_mixture(centers, amps, sigma, grid):
+    """Every line at every grid point."""
+    z = (grid[None, :] - centers[:, None]) / sigma
+    return (amps @ np.exp(-0.5 * z * z)) / (sigma * np.sqrt(2.0 * np.pi))
+
+
+def test_gaussian_mixture_matches_dense_sum():
     for seed in range(5):
-        *_, centers, amps, grid = _random_inputs(seed)
-        a = _kernels.gaussian_mixture(centers, amps, 5.0, grid)
-        b = _kernels.gaussian_mixture_np(centers, amps, 5.0, grid)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        sigma = gen.uniform(0.2, 0.5)
+        grid = np.linspace(2500.0, 2600.0, 4001)
+        # clusters far apart (exact zeros and subnormals between them),
+        # lines on and just beyond both edges of the grid
+        centers = np.concatenate([
+            gen.uniform(2500.0, 2505.0, 20), gen.uniform(2595.0, 2600.0, 20),
+            [2500.0, 2600.0, 2500.0 - 30 * sigma, 2600.0 + 30 * sigma,
+             2500.0 - 45 * sigma, 2600.0 + 45 * sigma]])
+        amps = gen.uniform(0.0, 1.0, len(centers))
+        got = _kernels.gaussian_mixture(centers, amps, sigma, grid)
+        want = dense_gaussian_mixture(centers, amps, sigma, grid)
+        assert np.any(want == 0.0) and np.any((want > 0) & (want < 1e-300))
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        assert [f"{x:.10g}" for x in got] == [f"{x:.10g}" for x in want]
+        assert np.all(np.abs(got - want) <= 1e-15 * want.max())
 
 
 def test_disable_flag_selects_numpy_backend():

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nvbath.pulses as pulses_mod
+from register_reference import reference_labels, reference_validate
 from nvbath.errors import AmbiguousTransitionError, ValidationError
 from nvbath.pulses import (
     BELL_VARIANTS,
@@ -31,6 +33,7 @@ from nvbath.spinsys import (
     HyperfineTensor,
     SpinSystemSpec,
     ZeemanField,
+    ZfsParams,
     first_shell_tensor,
     third_shell_tensor,
 )
@@ -311,3 +314,106 @@ def test_run_sequence_rejects_foreign_items():
     reg = make_bare()
     with pytest.raises(ValidationError):
         run_sequence(reg.pure_state(0, ()), ["not a pulse"])
+
+
+# ----- properties against the per-level reference (register_reference) ----
+
+_tensors = st.one_of(
+    st.builds(first_shell_tensor, st.sampled_from([0.0, 120.0, 240.0])),
+    st.just(third_shell_tensor()),
+    st.builds(HyperfineTensor, st.floats(0.3, 20.0), st.floats(0.3, 20.0),
+              st.floats(0.0, 180.0), st.floats(0.0, 360.0)))
+
+
+@st.composite
+def registers(draw, max_nuclei=4):
+    """Registers of up to max_nuclei nuclei; some repeat a tensor, which
+    makes equivalent nuclei with symmetry-mixed, unaddressable levels."""
+    hyperfine = draw(st.lists(_tensors, max_size=max_nuclei))
+    if len(hyperfine) >= 2 and draw(st.booleans()):
+        hyperfine[1] = hyperfine[0]
+    direction = draw(st.sampled_from([(1.0, 1.0, 1.0), (0.0, 0.0, 1.0),
+                                      (1.0, -0.3, 0.2)]))
+    spec = SpinSystemSpec(zfs=ZfsParams.along((1.0, 1.0, 1.0)),
+                          field=ZeemanField.along(direction,
+                                                  draw(st.floats(0.0, 300.0))),
+                          hyperfine=tuple(hyperfine))
+    return Register(spec)
+
+
+def _allowed_pairs(reg, channel):
+    """Pairs the channel's selection rule allows, by the labels alone."""
+    return [(i, j) for i in range(reg.dim) for j in range(reg.dim)
+            if i != j and (reg.labels[i][0] == reg.labels[j][0]
+                           if channel == "rf"
+                           else abs(reg.labels[i][0] - reg.labels[j][0]) == 1)
+            and sum(a != b for a, b in zip(reg.labels[i][1],
+                                           reg.labels[j][1]))
+            == (1 if channel == "rf" else 0)]
+
+
+@st.composite
+def pulses_on(draw, reg):
+    """A pulse on reg: often on a pair the selection rules allow, sometimes
+    on any pair or out of range; with or without a control."""
+    channel = draw(st.sampled_from(pulses_mod.CHANNELS))
+    allowed = _allowed_pairs(reg, channel)
+    if allowed and draw(st.integers(0, 3)):
+        i, j = draw(st.sampled_from(allowed))
+    else:
+        i = draw(st.integers(0, reg.dim))
+        j = draw(st.integers(0, reg.dim).filter(lambda x: x != i))
+    control = draw(st.one_of(st.none(), st.tuples(
+        st.integers(0, reg.n_nuclei), st.integers(0, 1))))
+    duration = draw(st.one_of(st.none(), st.floats(0.5, 5.0)))
+    return Pulse(channel, i, j, draw(st.floats(-7.0, 7.0)),
+                 draw(st.floats(0.0, 6.3)), duration, control)
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(reg=registers())
+def test_labels_match_reference(reg):
+    labels, overlap, contrast = reference_labels(reg)
+    assert reg.labels == labels
+    assert np.array_equal(reg.label_overlap, overlap)
+    assert np.array_equal(reg.label_contrast, contrast)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), reg=registers(max_nuclei=3),
+       tol=st.sampled_from([None, 1e-3, 0.3, 3.0, 20.0]))
+def test_validation_matches_reference(data, reg, tol):
+    with pytest.MonkeyPatch.context() as mp:
+        if tol is not None:
+            mp.setattr(pulses_mod, "DEGENERACY_TOL_MHZ", tol)
+        for _ in range(5):
+            pulse = data.draw(pulses_on(reg))
+            assert _outcome(pulses_mod._validate_target, reg, pulse) \
+                == _outcome(reference_validate, reg, pulse)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), reg=registers(max_nuclei=3))
+def test_pulses_unitary_and_state_stays_physical(data, reg):
+    state = reg.mixed_nuclei_state(0)
+    for _ in range(6):
+        pulse = data.draw(pulses_on(reg))
+        if _outcome(reference_validate, reg, pulse) is not None:
+            with pytest.raises(ValidationError):
+                pulse_unitary(reg, pulse)
+            continue
+        u = pulse_unitary(reg, pulse)
+        assert np.max(np.abs(u @ u.conj().T - np.eye(reg.dim))) <= 1e-12
+        state = run_sequence(state, [pulse, Wait(data.draw(
+            st.floats(0.0, 3.0)))])
+        rho = state.rho
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nvbath.constants import CONSTANTS
 from nvbath.errors import ValidationError
@@ -84,9 +85,29 @@ def test_matches_independent_construction():
         SpinSystemSpec(hyperfine=(HyperfineTensor(10.0, 4.0, 75.0, 210.0),)),
     ]
     for spec in specs:
-        h = build_hamiltonian(spec)
-        np.testing.assert_allclose(h, reference_hamiltonian(spec),
-                                   rtol=0, atol=1e-10)
+        assert np.array_equal(build_hamiltonian(spec),
+                              reference_hamiltonian(spec))
+
+
+_unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: np.linalg.norm(v) > 0.1)
+_tensors = st.builds(HyperfineTensor, st.floats(-200.0, 200.0),
+                     st.floats(-200.0, 200.0), st.floats(0.0, 180.0),
+                     st.floats(0.0, 360.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hyperfine=st.lists(_tensors, max_size=6), zfs_axis=_unit_vectors,
+       direction=_unit_vectors, gauss=st.floats(0.0, 2000.0),
+       d_mhz=st.floats(0.0, 3000.0))
+def test_block_hamiltonian_equals_dense_sum(hyperfine, zfs_axis, direction,
+                                            gauss, d_mhz):
+    spec = SpinSystemSpec(zfs=ZfsParams.along(zfs_axis, d_mhz),
+                          field=ZeemanField.along(direction, gauss),
+                          hyperfine=tuple(hyperfine))
+    h = build_hamiltonian(spec)
+    assert np.array_equal(h, reference_hamiltonian(spec))
+    assert np.max(np.abs(h - h.conj().T)) <= 1e-15 * np.max(np.abs(h))
 
 
 def test_hamiltonian_is_hermitian():
