@@ -81,11 +81,6 @@ def _echo_jac(t, p):
     ])
 
 
-def _tail_offset(y):
-    k = max(3, len(y) // 10)
-    return float(np.mean(y[-k:]))
-
-
 def _time_scale_guess(t, y, offset, amp):
     target = abs(amp) / math.e
     dev = np.abs(y - offset)
@@ -96,11 +91,17 @@ def _time_scale_guess(t, y, offset, amp):
     return float(t[-1]) / 2.0
 
 
-def _fid_guess(t, y):
-    offset = _tail_offset(y)
+def _offset_amp_guess(y):
+    k = max(3, len(y) // 10)  # offset from the last tenth of the signal
+    offset = float(np.mean(y[-k:]))
     amp = float(y[0] - offset)
     if amp == 0.0:
         amp = float(np.max(y) - offset) or 1.0
+    return offset, amp
+
+
+def _fid_guess(t, y):
+    offset, amp = _offset_amp_guess(y)
     # dominant beat frequency from the spectrum of the detrended signal
     yd = y - np.mean(y)
     if len(t) > 3:
@@ -115,10 +116,7 @@ def _fid_guess(t, y):
 
 
 def _echo_guess(t, y):
-    offset = _tail_offset(y)
-    amp = float(y[0] - offset)
-    if amp == 0.0:
-        amp = float(np.max(y) - offset) or 1.0
+    offset, amp = _offset_amp_guess(y)
     return np.array([_time_scale_guess(t, y, offset, amp), amp, offset])
 
 

@@ -160,19 +160,6 @@ def positions_of(sites) -> np.ndarray:
     return as_lattice(sites).quarter * (LATTICE_A_ANGSTROM / 4.0)
 
 
-def _orbit_key(quarter):
-    return min(tuple(quarter[p] for p in perm) for perm in _C3V_PERMS)
-
-
-def symmetry_classes(sites) -> dict:
-    """Group sites into C3v orbits about the defect axis; returns
-    {orbit key: [sites]}. Orbit sizes divide 6."""
-    orbits = {}
-    for s in sites:
-        orbits.setdefault(_orbit_key(s.quarter), []).append(s)
-    return orbits
-
-
 # Canonical third distance class (d^2 = 11 quarter units): 12 sites in C3v
 # orbits of 6+3+3. The strongly coupled 9-site class (orbits with axial
 # coordinate sums +3 and -1) is shell 3; the polar 3-orbit (sum -5) splits

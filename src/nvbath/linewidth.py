@@ -15,7 +15,7 @@ W = 2 sqrt(ln2) / (pi T2*).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decoherence import DecayCurve
 from .errors import (AmbiguousTransitionError, ValidationError)
 from .spinsys import (SX1, SY1, SZ1, SpinSystemSpec, build_hamiltonian,
                       diagonalize)
@@ -341,8 +342,6 @@ def _validate_target(register: Register, pulse: Pulse):
         q, s = pulse.control
         if not 0 <= q < register.n_nuclei:
             raise ValidationError(f"control references missing qubit {q}")
-        if s not in (0, 1):
-            raise ValidationError("control state must be 0 or 1")
         if bits_i[q] != s or bits_j[q] != s:
             raise ValidationError(
                 f"control {q}:{s} contradicts the target labels "
@@ -392,10 +391,6 @@ def free_unitary(register: Register, t_us: float,
             m = np.array([0.5 if b == 0 else -0.5 for b in bits])
             phases[k] -= 2.0 * math.pi * float(det @ m) * t_us
     return np.diag(np.exp(1j * phases))
-
-
-def apply_pulse(state: RegisterState, pulse: Pulse) -> RegisterState:
-    return state.evolved(pulse_unitary(state.register, pulse))
 
 
 def run_sequence(state: RegisterState, items,
@@ -627,7 +622,6 @@ def rabi_simulate(register: Register, channel: str, i: int, j: int, t_us,
                   power: float = 1.0, kappa: float = None):
     """Resonantly driven two-level population transfer: returns the
     population of level j versus drive duration, sin^2(pi Omega t)."""
-    from .decoherence import DecayCurve  # local import to avoid a cycle
     _validate_target(register, Pulse(channel, i, j, math.pi))
     t = np.asarray(t_us, dtype=float)
     omega = rabi_frequency_mhz(register, channel, i, j, power, kappa)

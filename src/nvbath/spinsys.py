@@ -52,6 +52,14 @@ def _unit(v, what):
     return v / norm
 
 
+def _normalized(v, what):
+    d = np.asarray(v, dtype=float)
+    n = np.linalg.norm(d)
+    if n == 0:
+        raise ValidationError(f"{what} must be nonzero")
+    return tuple(d / n)
+
+
 def orthonormal_frame(axis):
     """Right-handed (e1, e2, axis) with a deterministic transverse e1.
 
@@ -80,11 +88,7 @@ class ZfsParams:
 
     @classmethod
     def along(cls, direction, d_mhz=ZFS_D_MHZ):
-        d = np.asarray(direction, dtype=float)
-        n = np.linalg.norm(d)
-        if n == 0:
-            raise ValidationError("ZFS axis must be nonzero")
-        return cls(d_mhz=d_mhz, axis=tuple(d / n))
+        return cls(d_mhz=d_mhz, axis=_normalized(direction, "ZFS axis"))
 
 
 @dataclass(frozen=True)
@@ -102,11 +106,8 @@ class ZeemanField:
 
     @classmethod
     def along(cls, direction, gauss):
-        d = np.asarray(direction, dtype=float)
-        n = np.linalg.norm(d)
-        if n == 0:
-            raise ValidationError("field direction must be nonzero")
-        return cls(gauss=gauss, direction=tuple(d / n))
+        return cls(gauss=gauss,
+                   direction=_normalized(direction, "field direction"))
 
 
 @dataclass(frozen=True)

@@ -92,18 +92,15 @@ def render_plot(series, xlabel: str = "", ylabel: str = "", title: str = "",
     series = list(series)
     if not series:
         raise ValidationError("nothing to plot")
-    xs, ys = [], []
+    kept = []  # each series' points that a log axis can show
     for s in series:
         if len(s["x"]) != len(s["y"]):
             raise ValidationError("series x and y lengths differ")
-        for xv, yv in zip(s["x"], s["y"]):
-            xv, yv = float(xv), float(yv)
-            if logx and xv <= 0:
-                continue
-            if logy and yv <= 0:
-                continue
-            xs.append(xv)
-            ys.append(yv)
+        pairs = ((float(xv), float(yv)) for xv, yv in zip(s["x"], s["y"]))
+        kept.append([(xv, yv) for xv, yv in pairs
+                     if not ((logx and xv <= 0) or (logy and yv <= 0))])
+    xs = [xv for pts in kept for xv, _ in pts]
+    ys = [yv for pts in kept for _, yv in pts]
     if not xs:
         raise ValidationError("no plottable points")
     x_axis = _Axis(min(xs), max(xs), _ML, _W - _MR, logx)
@@ -120,7 +117,7 @@ def render_plot(series, xlabel: str = "", ylabel: str = "", title: str = "",
 
     xticks = (_log_ticks(min(xs), max(xs)) if logx
               else _nice_ticks(min(xs), max(xs)))
-    yticks = (_log_ticks(min(v for v in ys), max(ys)) if logy
+    yticks = (_log_ticks(min(ys), max(ys)) if logy
               else _nice_ticks(y_lo, y_hi))
     for tv in xticks:
         px = x_axis.to_pix(tv)
@@ -137,14 +134,9 @@ def render_plot(series, xlabel: str = "", ylabel: str = "", title: str = "",
     out.append(f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
                f'height="{_H - _MT - _MB}" fill="none" stroke="#444444"/>')
 
-    for k, s in enumerate(series):
+    for k, (s, data) in enumerate(zip(series, kept)):
         color = s.get("color") or _PALETTE[k % len(_PALETTE)]
-        pts = []
-        for xv, yv in zip(s["x"], s["y"]):
-            xv, yv = float(xv), float(yv)
-            if (logx and xv <= 0) or (logy and yv <= 0):
-                continue
-            pts.append((x_axis.to_pix(xv), y_axis.to_pix(yv)))
+        pts = [(x_axis.to_pix(xv), y_axis.to_pix(yv)) for xv, yv in data]
         if s.get("points"):
             for px, py in pts:
                 out.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" '

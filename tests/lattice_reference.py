@@ -67,6 +67,19 @@ def reference_shells(sites):
     return shells, closed
 
 
+def _orbit_key(quarter):
+    return min(tuple(quarter[p] for p in perm) for perm in C3V_PERMS)
+
+
+def symmetry_classes(sites) -> dict:
+    """Group sites into C3v orbits about the defect axis; returns
+    {orbit key: [sites]}. Orbit sizes divide 6."""
+    orbits = {}
+    for s in sites:
+        orbits.setdefault(_orbit_key(s.quarter), []).append(s)
+    return orbits
+
+
 def reference_sites(radius_angstrom):
     """Classified sites within the radius, ordered by (d^2, quarter)."""
     found = sorted(brute_force_quarters(radius_angstrom),

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_reference import (brute_force_quarters, reference_shells,
-                               reference_sites)
+                               reference_sites, symmetry_classes)
 from nvbath.constants import CONSTANTS, LATTICE_A_ANGSTROM
 from nvbath.errors import ResourceLimitError, ValidationError
 from nvbath.lattice import (
@@ -31,7 +31,6 @@ from nvbath.lattice import (
     sample_bath,
     shell_occupancy_probability,
     shell_summary,
-    symmetry_classes,
 )
 
 
