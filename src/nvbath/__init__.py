@@ -8,7 +8,6 @@ sequence simulation of nuclear-spin registers.
 
 __version__ = "0.1.0"
 
-from .constants import CONSTANTS, PhysicalConstants
 from .errors import (AmbiguousTransitionError, DimensionLimitError,
                      FitError, FlatSignalError, InsufficientSitesError,
                      ResourceLimitError, ValidationError)

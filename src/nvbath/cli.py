@@ -111,6 +111,16 @@ def _write_csv(path, columns, rows, digest, seed, extra_comments=()):
     return path
 
 
+def _number(value, name: str, kind=float):
+    """A config value converted by kind; one that does not convert is a
+    usage error naming its key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"config value {name} is not numeric: {value!r}") from None
+
+
 def _parse_floats(text: str, what: str):
     try:
         vals = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -182,8 +192,9 @@ _SYSTEM_DEFAULTS = {
 
 
 def _system_from_config(cfg) -> SpinSystemSpec:
-    zfs = ZfsParams.along(cfg["zfs_axis"], float(cfg["zfs_mhz"]))
-    fld = ZeemanField.along(cfg["field_direction"], float(cfg["field_gauss"]))
+    zfs = ZfsParams.along(cfg["zfs_axis"], _number(cfg["zfs_mhz"], "zfs_mhz"))
+    fld = ZeemanField.along(cfg["field_direction"],
+                            _number(cfg["field_gauss"], "field_gauss"))
     nuclei = []
     for k, item in enumerate(cfg.get("nuclei") or []):
         if not isinstance(item, dict):
@@ -191,8 +202,8 @@ def _system_from_config(cfg) -> SpinSystemSpec:
         if "shell" in item:
             shell = item["shell"]
             if shell == 1:
-                nuclei.append(
-                    first_shell_tensor(float(item.get("azimuth_deg", 0.0))))
+                nuclei.append(first_shell_tensor(_number(
+                    item.get("azimuth_deg", 0.0), f"nuclei[{k}].azimuth_deg")))
             elif shell == 3:
                 nuclei.append(third_shell_tensor())
             else:
@@ -205,11 +216,10 @@ def _system_from_config(cfg) -> SpinSystemSpec:
             if missing:
                 raise ValidationError(
                     f"nuclei[{k}]: missing {', '.join(missing)}")
-            nuclei.append(HyperfineTensor(
-                a_par_mhz=float(item["a_par_mhz"]),
-                a_perp_mhz=float(item["a_perp_mhz"]),
-                polar_deg=float(item.get("polar_deg", 0.0)),
-                azimuth_deg=float(item.get("azimuth_deg", 0.0))))
+            nuclei.append(HyperfineTensor(**{
+                key: _number(item.get(key, 0.0), f"nuclei[{k}].{key}")
+                for key in ("a_par_mhz", "a_perp_mhz", "polar_deg",
+                            "azimuth_deg")}))
     return SpinSystemSpec(zfs=zfs, field=fld, hyperfine=tuple(nuclei))
 
 
@@ -258,11 +268,11 @@ def cmd_spectrum(args) -> int:
         raise ValidationError("window needs exactly two values: lo,hi")
     spec = _system_from_config(cfg)
     eig = diagonalize(build_hamiltonian(spec))
-    lines = esr_transitions(spec, window=window,
-                            floor=float(cfg["intensity_floor"]), eig=eig)
+    floor = _number(cfg["intensity_floor"], "intensity_floor")
+    lines = esr_transitions(spec, window=window, floor=floor, eig=eig)
     if not lines:
         raise ValidationError("no transitions in the requested window")
-    fwhm = float(cfg["fwhm_mhz"])
+    fwhm = _number(cfg["fwhm_mhz"], "fwhm_mhz")
     grid = cfg["grid_mhz"]
     if grid is None:
         lo = min(l.freq_mhz for l in lines) - 5.0 * fwhm
@@ -325,14 +335,19 @@ def cmd_linewidth(args) -> int:
     if cfg["concentrations"] is not None:
         n_values = np.asarray(cfg["concentrations"], dtype=float)
     else:
-        n_values = np.geomspace(float(cfg["n_min"]), float(cfg["n_max"]),
-                                int(cfg["n_points"]))
+        n_min = _number(cfg["n_min"], "n_min")
+        n_max = _number(cfg["n_max"], "n_max")
+        n_points = _number(cfg["n_points"], "n_points", int)
+        if not (0.0 < n_min <= 1.0 and 0.0 < n_max <= 1.0 and n_points >= 1):
+            raise ValidationError(
+                "need n_min and n_max in (0, 1] and n_points >= 1")
+        n_values = np.geomspace(n_min, n_max, n_points)
     if np.any(n_values <= 0.0) or np.any(n_values > 1.0):
         raise ValidationError("concentrations must lie in (0, 1]")
-    coeff = float(cfg["coeff_cm6"])
+    coeff = _number(cfg["coeff_cm6"], "coeff_cm6")
     if cfg["lattice_radius_angstrom"] is not None:
-        sites = classify_shells(
-            generate_lattice(float(cfg["lattice_radius_angstrom"])))
+        sites = classify_shells(generate_lattice(_number(
+            cfg["lattice_radius_angstrom"], "lattice_radius_angstrom")))
         coeff = dipolar_second_moment_sum(sites)
         print(f"lattice coefficient {coeff:.4e} cm^-6 "
               f"(reference {DIPOLAR_COEFF_CM6:.4e})")
@@ -419,9 +434,10 @@ def cmd_bath(args) -> int:
     cfg = _effective(_BATH_DEFAULTS, _load_config(args.config), overrides,
                      "bath")
     digest = _config_digest(cfg)
-    sites = classify_shells(generate_lattice(float(cfg["radius_angstrom"])),
-                            radius_angstrom=float(cfg["radius_angstrom"]))
-    sample = sample_bath(sites, float(cfg["concentration"]), args.seed)
+    radius = _number(cfg["radius_angstrom"], "radius_angstrom")
+    n = _number(cfg["concentration"], "concentration")
+    sites = classify_shells(generate_lattice(radius), radius_angstrom=radius)
+    sample = sample_bath(sites, n, args.seed)
     out = _out_dir(args)
     rows = [(x, y, z, shell) for (x, y, z), shell in
             zip(sample.positions.tolist(),
@@ -434,7 +450,7 @@ def cmd_bath(args) -> int:
                       in sorted(summary.items())[:4])
     print(f"{len(sites)} sites within {cfg['radius_angstrom']} Angstrom "
           f"({inner}, ...)")
-    print(f"occupied {sample.count} sites at n = {cfg['concentration']:g} "
+    print(f"occupied {sample.count} sites at n = {n:g} "
           f"(seed {args.seed})")
     try:
         coeff = dipolar_second_moment_sum(sites)
@@ -469,6 +485,8 @@ def _parse_init(register, text):
 
 
 def cmd_pulse(args) -> int:
+    if args.points < 1:
+        raise ValidationError("--points must be at least 1")
     overrides = {
         "field_gauss": args.field,
         "nuclei": _nuclei_from_flags(args),

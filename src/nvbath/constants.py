@@ -4,11 +4,7 @@ Internal unit system: energies/frequencies in MHz, magnetic fields in Gauss,
 lengths in Angstrom, times in microseconds unless a function says otherwise.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-import numpy as np
+import math
 
 # SI values (CODATA 2018); h is exact by definition.
 PLANCK_H = 6.62607015e-34        # J s
@@ -32,56 +28,15 @@ THIRD_SHELL_A_MHZ = 14.0
 THIRD_SHELL_MULTIPLICITY = 9
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Bundle of the constants entering Hamiltonians and couplings.
-
-    All fields must be positive; override individual values for sensitivity
-    studies, e.g. ``PhysicalConstants(g_e=2.0)``.
-    """
-
-    h: float = PLANCK_H
-    mu_b: float = BOHR_MAGNETON
-    mu_n: float = NUCLEAR_MAGNETON
-    mu0: float = MU0
-    g_e: float = G_ELECTRON_NV
-    g_n: float = G_NUCLEAR_C13
-
-    def __post_init__(self):
-        for name in ("h", "mu_b", "mu_n", "mu0", "g_e", "g_n"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"constant {name} must be positive")
-
-    @property
-    def electron_mhz_per_gauss(self) -> float:
-        """Electron Zeeman coefficient g_e * mu_B / h in MHz/G."""
-        return self.g_e * self.mu_b / self.h * 1e-10
-
-    @property
-    def nuclear_mhz_per_gauss(self) -> float:
-        """Nuclear Zeeman coefficient g_n * mu_N / h in MHz/G."""
-        return self.g_n * self.mu_n / self.h * 1e-10
-
-    @property
-    def en_dipolar_khz_a3(self) -> float:
-        """Electron-nuclear point-dipole scale (mu0/4pi) g_e mu_B g_n mu_N / h,
-        in kHz * Angstrom^3 (divide by r^3 in A^3 for the coupling in kHz)."""
-        return (self.mu0 / (4 * np.pi)) * (self.g_e * self.mu_b) \
-            * (self.g_n * self.mu_n) / self.h * 1e27
-
-    @property
-    def nn_dipolar_khz_a3(self) -> float:
-        """Nuclear-nuclear point-dipole scale (mu0/4pi) (g_n mu_N)^2 / h,
-        in kHz * Angstrom^3."""
-        return (self.mu0 / (4 * np.pi)) * (self.g_n * self.mu_n) ** 2 \
-            / self.h * 1e27
-
-    @property
-    def dipolar_prefactor_cm3_hz(self) -> float:
-        """(mu0/4pi) g_e mu_B g_n mu_N / h in cm^3 Hz, the prefactor of the
-        closed-form dipolar linewidth (cgs lengths)."""
-        return (self.mu0 / (4 * np.pi)) * (self.g_e * self.mu_b) \
-            * (self.g_n * self.mu_n) / self.h * 1e6
-
-
-CONSTANTS = PhysicalConstants()
+# Derived coefficients: Zeeman g mu / h (MHz/G); point-dipole scales (mu0/4pi)
+# g_e mu_B g_n mu_N / h and (mu0/4pi) (g_n mu_N)^2 / h (kHz A^3, divide by r^3
+# in A^3), the first also in cm^3 Hz as the dipolar linewidth prefactor.
+ELECTRON_MHZ_PER_GAUSS = G_ELECTRON_NV * BOHR_MAGNETON / PLANCK_H * 1e-10
+NUCLEAR_MHZ_PER_GAUSS = G_NUCLEAR_C13 * NUCLEAR_MAGNETON / PLANCK_H * 1e-10
+EN_DIPOLAR_KHZ_A3 = (MU0 / (4 * math.pi)) * (G_ELECTRON_NV * BOHR_MAGNETON) \
+    * (G_NUCLEAR_C13 * NUCLEAR_MAGNETON) / PLANCK_H * 1e27
+NN_DIPOLAR_KHZ_A3 = (MU0 / (4 * math.pi)) \
+    * (G_NUCLEAR_C13 * NUCLEAR_MAGNETON) ** 2 / PLANCK_H * 1e27
+DIPOLAR_PREFACTOR_CM3_HZ = (MU0 / (4 * math.pi)) \
+    * (G_ELECTRON_NV * BOHR_MAGNETON) * (G_NUCLEAR_C13 * NUCLEAR_MAGNETON) \
+    / PLANCK_H * 1e6

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import NN_DIPOLAR_KHZ_A3
 from .errors import FitError, FlatSignalError, ValidationError
 
 # ----- decay curves and models ------------------------------------------
@@ -87,7 +87,7 @@ def _time_scale_guess(t, y, offset, amp):
     below = np.flatnonzero(dev < target)
     below = below[below > 0]
     if len(below):
-        return max(float(t[below[0]]), float(t[1] if len(t) > 1 else 1.0))
+        return max(float(t[below[0]]), float(t[1]))
     return float(t[-1]) / 2.0
 
 
@@ -104,14 +104,11 @@ def _fid_guess(t, y):
     offset, amp = _offset_amp_guess(y)
     # dominant beat frequency from the spectrum of the detrended signal
     yd = y - np.mean(y)
-    if len(t) > 3:
-        spec = np.abs(np.fft.rfft(yd))
-        dt = float(t[1] - t[0])
-        freqs = np.fft.rfftfreq(len(t), dt)
-        k = int(np.argmax(spec[1:]) + 1)
-        w = 2.0 * math.pi * float(freqs[k]) if spec[k] > 3.0 * spec[0] else 0.0
-    else:
-        w = 0.0
+    spec = np.abs(np.fft.rfft(yd))
+    dt = float(t[1] - t[0])
+    freqs = np.fft.rfftfreq(len(t), dt)
+    k = int(np.argmax(spec[1:]) + 1)
+    w = 2.0 * math.pi * float(freqs[k]) if spec[k] > 3.0 * spec[0] else 0.0
     return np.array([_time_scale_guess(t, y, offset, amp), w, amp, offset])
 
 
@@ -161,17 +158,16 @@ class DecayFit:
         return self.params[name]
 
 
-def fit_decay(curve: DecayCurve, model: str = "fid",
-              initial=None) -> DecayFit:
+def fit_decay(curve: DecayCurve, model: str = "fid") -> DecayFit:
     """Damped least squares (Levenberg-style) fit of a decay model.
 
-    Deterministic given the curve and starting point: step acceptance and
-    damping follow a fixed schedule. Converged when the gradient infinity
-    norm falls below GRADIENT_TOL, or an accepted step changes parameters
-    by less than STEP_TOL relatively, or improves the SSR by less than
-    SSR_TOL relatively (noisy data stalls the gradient above its tolerance
-    while the iterate has long stopped moving). Hitting MAX_ITER raises
-    FitError carrying the last iterate.
+    Deterministic given the curve: the starting point is guessed from the
+    data, and step acceptance and damping follow a fixed schedule. Converged
+    when the gradient infinity norm falls below GRADIENT_TOL, or an accepted
+    step changes parameters by less than STEP_TOL relatively, or improves
+    the SSR by less than SSR_TOL relatively (noisy data stalls the gradient
+    above its tolerance while the iterate has long stopped moving). Hitting
+    MAX_ITER raises FitError carrying the last iterate.
     """
     if model not in MODELS:
         raise ValidationError(f"model must be one of {tuple(MODELS)}")
@@ -186,10 +182,7 @@ def fit_decay(curve: DecayCurve, model: str = "fid",
         raise FlatSignalError("signal has no contrast; nothing to fit")
     w = 1.0 / curve.sigma if curve.sigma is not None else np.ones_like(y)
 
-    p = np.array(spec["guess"](t, y) if initial is None else initial,
-                 dtype=float)
-    if p.shape != (npar,):
-        raise ValidationError(f"initial guess must have {npar} entries")
+    p = spec["guess"](t, y)
 
     def ssr_of(params):
         r = w * (spec["fn"](t, params) - y)
@@ -349,6 +342,7 @@ COHERENCE_WEIGHTS = {
 
 MIN_BATH_SAMPLES = 100
 BATH_CHUNK_SAMPLES = 256    # samples per draw; bounds simulate_bath_fid memory
+ENVELOPE_FLOOR = 0.05       # fit_envelope_rate uses the points above it
 
 
 @dataclass(frozen=True)
@@ -372,8 +366,8 @@ class PairCouplings:
         return len(self.c1_khz)
 
 
-def pair_couplings(positions, p1, p2, near_radius_angstrom: float = 10.0,
-                   constants: PhysicalConstants = CONSTANTS) -> PairCouplings:
+def pair_couplings(positions, p1, p2,
+                   near_radius_angstrom: float = 10.0) -> PairCouplings:
     """Nuclear-nuclear point-dipole couplings (kHz) from bath positions to
     two register nuclei at p1/p2, zeroed beyond the near radius.
 
@@ -384,13 +378,13 @@ def pair_couplings(positions, p1, p2, near_radius_angstrom: float = 10.0,
     if near_radius_angstrom <= 0:
         raise ValidationError("near radius must be positive")
     pos = np.asarray(positions, dtype=float).reshape(-1, 3)
-    k = constants.nn_dipolar_khz_a3
     out = []
     for p in (np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)):
         d = np.linalg.norm(pos - p[None, :], axis=1)
         if np.any(d < 1e-9):
             raise ValidationError("a bath site coincides with a register nucleus")
-        out.append(np.where(d <= near_radius_angstrom, k / d ** 3, 0.0))
+        out.append(np.where(d <= near_radius_angstrom,
+                            NN_DIPOLAR_KHZ_A3 / d ** 3, 0.0))
     return PairCouplings(c1_khz=out[0], c2_khz=out[1],
                          near_radius_angstrom=float(near_radius_angstrom))
 
@@ -450,15 +444,15 @@ def simulate_bath_fid(couplings: PairCouplings, kind: str, t_us,
     return DecayCurve(t_us=t, signal=total / n_samples)
 
 
-def fit_envelope_rate(curve: DecayCurve, floor: float = 0.05) -> float:
+def fit_envelope_rate(curve: DecayCurve) -> float:
     """Exponential rate (1/us) of an ensemble envelope.
 
     One-parameter least squares of exp(-r t) in linear space (Gauss-Newton,
-    log-space seed restricted to points above the floor); robust to the
+    log-space seed restricted to points above ENVELOPE_FLOOR); robust to the
     near-zero Monte-Carlo tail where log fits blow up.
     """
     t, y = curve.t_us, curve.signal
-    m = (y > floor) & (t > 0)
+    m = (y > ENVELOPE_FLOOR) & (t > 0)
     if m.sum() < 2:
         raise ValidationError("envelope has too few points above the floor")
     r = float(max((t[m] @ (-np.log(y[m]))) / (t[m] @ t[m]), 1e-12))

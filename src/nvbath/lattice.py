@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONSTANTS, LATTICE_A_ANGSTROM, PhysicalConstants
+from .constants import EN_DIPOLAR_KHZ_A3, LATTICE_A_ANGSTROM
 from .errors import ResourceLimitError, ValidationError
 
 NV_AXIS = (1 / math.sqrt(3),) * 3
@@ -249,18 +249,17 @@ class BathSample:
         return len(self.site_indices)
 
 
-def electron_coupling_khz(positions, constants: PhysicalConstants = CONSTANTS):
+def electron_coupling_khz(positions):
     """Point-dipole electron-nuclear coupling magnitude (kHz) at positions
     (Angstrom) relative to the electron at the origin."""
     pos = np.asarray(positions, dtype=float).reshape(-1, 3)
     r = np.sqrt(np.einsum("ij,ij->i", pos, pos))
     if np.any(r <= 0):
         raise ValidationError("coupling requested at the origin")
-    return constants.en_dipolar_khz_a3 / r ** 3
+    return EN_DIPOLAR_KHZ_A3 / r ** 3
 
 
-def sample_bath(sites, n: float, seed: int,
-                constants: PhysicalConstants = CONSTANTS) -> BathSample:
+def sample_bath(sites, n: float, seed: int) -> BathSample:
     """Occupy each site independently with probability n.
 
     Draws come from a counter-based Philox stream keyed by the seed, so site
@@ -277,5 +276,5 @@ def sample_bath(sites, n: float, seed: int,
     pos = positions_of(lat[idx])
     return BathSample(seed=int(seed), concentration=float(n),
                       site_indices=idx, positions=pos,
-                      couplings_khz=electron_coupling_khz(pos, constants),
+                      couplings_khz=electron_coupling_khz(pos),
                       n_sites_total=len(lat))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .constants import (CONSTANTS, PhysicalConstants, THIRD_SHELL_A_MHZ,
+from .constants import (DIPOLAR_PREFACTOR_CM3_HZ, THIRD_SHELL_A_MHZ,
                         THIRD_SHELL_MULTIPLICITY)
 from .errors import InsufficientSitesError, ValidationError
 from .lattice import NV_AXIS, as_lattice, classify_shells, positions_of
@@ -35,6 +35,7 @@ REGIME_SPLIT_N = 0.011
 MIN_SITES_FOR_SUM = 3000
 
 _FWHM_FROM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
+_AXIS = np.asarray(NV_AXIS) / np.linalg.norm(NV_AXIS)  # unit defect axis
 
 
 @dataclass(frozen=True)
@@ -63,16 +64,15 @@ def contact_linewidth(n: float, sites: ContactSiteSet = None) -> float:
     return _FWHM_FROM_SIGMA * math.sqrt(second_moment)
 
 
-def dipolar_linewidth_closed_form(n: float, coeff_cm6: float = DIPOLAR_COEFF_CM6,
-                                  constants: PhysicalConstants = CONSTANTS) -> float:
+def dipolar_linewidth_closed_form(
+        n: float, coeff_cm6: float = DIPOLAR_COEFF_CM6) -> float:
     """Dipolar-model FWHM in Hz at 13C fraction n (closed form)."""
     if not 0.0 <= n <= 1.0:
         raise ValidationError("concentration must lie in [0, 1]")
-    return constants.dipolar_prefactor_cm3_hz * math.sqrt(coeff_cm6 * n)
+    return DIPOLAR_PREFACTOR_CM3_HZ * math.sqrt(coeff_cm6 * n)
 
 
-def dipolar_second_moment_sum(sites, exclude_shells=(1, 2),
-                              axis=NV_AXIS) -> float:
+def dipolar_second_moment_sum(sites, exclude_shells=(1, 2)) -> float:
     """Lattice coefficient of the dipolar model, in cm^-6.
 
     Computes 2 ln2 * sum_k (1 - 3 cos^2 theta_k)^2 / r_k^6 over classified
@@ -90,24 +90,25 @@ def dipolar_second_moment_sum(sites, exclude_shells=(1, 2),
     if np.any(sites.shell == 0):
         sites = classify_shells(sites)
     pos = positions_of(sites[~np.isin(sites.shell, tuple(exclude_shells))])
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    total_a6 = _kernels.second_moment_sum(pos, axis)  # Angstrom^-6
+    total_a6 = _kernels.second_moment_sum(pos, _AXIS)  # Angstrom^-6
     return 2.0 * math.log(2.0) * total_a6 * 1e48      # cm^-6
+
+
+def _fwhm_time_map(x: float, what: str) -> float:
+    """2 sqrt(ln2) / (pi x), FWHM (Hz) <-> T2* (s) both ways (self-inverse)."""
+    if x <= 0:
+        raise ValidationError(f"{what} must be positive")
+    return 2.0 * math.sqrt(math.log(2.0)) / (math.pi * x)
 
 
 def linewidth_to_t2star(w_hz: float) -> float:
     """Gaussian FWHM in Hz -> dephasing time in seconds."""
-    if w_hz <= 0:
-        raise ValidationError("linewidth must be positive")
-    return 2.0 * math.sqrt(math.log(2.0)) / (math.pi * w_hz)
+    return _fwhm_time_map(w_hz, "linewidth")
 
 
 def t2star_to_linewidth(t2_s: float) -> float:
     """Dephasing time in seconds -> Gaussian FWHM in Hz."""
-    if t2_s <= 0:
-        raise ValidationError("T2* must be positive")
-    return 2.0 * math.sqrt(math.log(2.0)) / (math.pi * t2_s)
+    return _fwhm_time_map(t2_s, "T2*")
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,7 @@ _REGIMES = ("auto", "max", "contact", "dipolar")
 
 def linewidth_curve(n_values, sites: ContactSiteSet = None,
                     regime: str = "auto",
-                    coeff_cm6: float = DIPOLAR_COEFF_CM6,
-                    constants: PhysicalConstants = CONSTANTS) -> list:
+                    coeff_cm6: float = DIPOLAR_COEFF_CM6) -> list:
     """Evaluate both models on a concentration grid.
 
     regime picks the reported W_total: "auto" reports the dipolar value for
@@ -140,7 +140,7 @@ def linewidth_curve(n_values, sites: ContactSiteSet = None,
     out = []
     for n in np.asarray(n_values, dtype=float):
         wc = contact_linewidth(float(n), sites)
-        wd = dipolar_linewidth_closed_form(float(n), coeff_cm6, constants) * 1e-6
+        wd = dipolar_linewidth_closed_form(float(n), coeff_cm6) * 1e-6
         if regime == "contact":
             wt = wc
         elif regime == "dipolar":

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import NUCLEAR_MHZ_PER_GAUSS
 from .decoherence import DecayCurve
 from .errors import (AmbiguousTransitionError, ValidationError)
 from .spinsys import (SX1, SY1, SZ1, SpinSystemSpec, build_hamiltonian,
@@ -34,7 +35,7 @@ MIN_LABEL_CONTRAST = 1.5
 
 CHANNELS = ("mw", "rf")
 
-# default Rabi calibration Omega = kappa * sqrt(power) (MW) or
+# Rabi calibration Omega = kappa * sqrt(power) (MW) or
 # kappa * |A_eff| * sqrt(power) (RF, hyperfine-enhanced)
 KAPPA_MW_MHZ = 1.0
 KAPPA_RF_PER_MHZ = 1e-3
@@ -97,13 +98,11 @@ class Register:
         Returns spinors[q][ms] = (bit0 vector, bit1 vector)."""
         axis = np.asarray(self.spec.zfs.axis, dtype=float)
         bdir = np.asarray(self.spec.field.direction, dtype=float)
-        b_mhz = self.spec.field.gauss * \
-            self.spec.constants.nuclear_mhz_per_gauss
+        b_mhz = self.spec.field.gauss * NUCLEAR_MHZ_PER_GAUSS
         spinors = []
         for q in range(self.n_nuclei):
             one = SpinSystemSpec(zfs=self.spec.zfs, field=self.spec.field,
-                                 hyperfine=(self.spec.hyperfine[q],),
-                                 constants=self.spec.constants)
+                                 hyperfine=(self.spec.hyperfine[q],))
             vecs = diagonalize(build_hamiltonian(one)).vectors
             proj = {ms: np.kron(evec[ms].conj(), np.eye(2))
                     for ms in (1, 0, -1)}  # 2x6: strips the electron factor
@@ -378,30 +377,19 @@ def pulse_unitary(register: Register, pulse: Pulse) -> np.ndarray:
     return frame[:, None] * u_rwa
 
 
-def free_unitary(register: Register, t_us: float,
-                 nuclear_detunings_mhz=None) -> np.ndarray:
-    """Free-evolution phases; optional per-nucleus detuning adds
-    -2 pi * delta_q * m_q * t to each labeled level (m = +-1/2)."""
+def free_unitary(register: Register, t_us: float) -> np.ndarray:
+    """Free evolution: the exact eigenphases of each level."""
     phases = -2.0 * math.pi * register.eig.values * t_us
-    if nuclear_detunings_mhz is not None:
-        det = np.asarray(nuclear_detunings_mhz, dtype=float)
-        if det.shape != (register.n_nuclei,):
-            raise ValidationError("one detuning per nucleus required")
-        for k, (_, bits) in enumerate(register.labels):
-            m = np.array([0.5 if b == 0 else -0.5 for b in bits])
-            phases[k] -= 2.0 * math.pi * float(det @ m) * t_us
     return np.diag(np.exp(1j * phases))
 
 
-def run_sequence(state: RegisterState, items,
-                 nuclear_detunings_mhz=None) -> RegisterState:
+def run_sequence(state: RegisterState, items) -> RegisterState:
     """Apply pulses and free-evolution segments in order."""
     for item in items:
         if isinstance(item, Pulse):
             state = state.evolved(pulse_unitary(state.register, item))
         elif isinstance(item, Wait):
-            state = state.evolved(free_unitary(state.register, item.t_us,
-                                               nuclear_detunings_mhz))
+            state = state.evolved(free_unitary(state.register, item.t_us))
         else:
             raise ValidationError(f"sequence items must be Pulse or Wait, "
                                   f"got {type(item).__name__}")
@@ -506,11 +494,12 @@ def hahn_echo_sequence(register: Register, i: int, j: int, tau_us: float,
 
 
 BELL_VARIANTS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
+BELL_MS = -1  # electron manifold that holds the Bell states
 
 
-def bell_sequence(register: Register, variant: str, ms: int = -1):
+def bell_sequence(register: Register, variant: str):
     """Two-pulse generation circuit of a Bell state of two nuclear qubits
-    within one electron manifold, starting from |ms, 00>.
+    within the BELL_MS electron manifold, starting from |BELL_MS, 00>.
 
     A pi/2 splits |00>/|10>, then a conditional pi maps the second qubit;
     pulse phases select the variant sign.
@@ -519,10 +508,10 @@ def bell_sequence(register: Register, variant: str, ms: int = -1):
         raise ValidationError("Bell circuits need exactly 2 nuclear qubits")
     if variant not in BELL_VARIANTS:
         raise ValidationError(f"variant must be one of {BELL_VARIANTS}")
-    l00 = register.level(ms, (0, 0))
-    l01 = register.level(ms, (0, 1))
-    l10 = register.level(ms, (1, 0))
-    l11 = register.level(ms, (1, 1))
+    l00 = register.level(BELL_MS, (0, 0))
+    l01 = register.level(BELL_MS, (0, 1))
+    l10 = register.level(BELL_MS, (1, 0))
+    l11 = register.level(BELL_MS, (1, 1))
     half = math.pi / 2.0
     phase1 = math.pi if variant in ("phi_plus", "psi_minus") else 0.0
     if variant.startswith("phi"):
@@ -532,20 +521,20 @@ def bell_sequence(register: Register, variant: str, ms: int = -1):
             Pulse("rf", l00, l01, math.pi, 0.0, control=(0, 0))]
 
 
-def bell_detect_sequence(register: Register, variant: str, ms: int = -1):
+def bell_detect_sequence(register: Register, variant: str):
     """Inverse of the generation circuit (maps the Bell state back to |00>)."""
-    gen = bell_sequence(register, variant, ms)
+    gen = bell_sequence(register, variant)
     return [Pulse(p.channel, p.i, p.j, -p.angle_rad, p.phase_rad, None,
                   p.control) for p in reversed(gen)]
 
 
-def bell_target_vector(register: Register, variant: str, ms: int = -1):
+def bell_target_vector(register: Register, variant: str):
     v = np.zeros(register.dim, dtype=complex)
     if variant in ("phi_plus", "phi_minus"):
-        a, b = register.level(ms, (0, 0)), register.level(ms, (1, 1))
+        a, b = register.level(BELL_MS, (0, 0)), register.level(BELL_MS, (1, 1))
         sign = 1.0 if variant == "phi_plus" else -1.0
     elif variant in ("psi_plus", "psi_minus"):
-        a, b = register.level(ms, (0, 1)), register.level(ms, (1, 0))
+        a, b = register.level(BELL_MS, (0, 1)), register.level(BELL_MS, (1, 0))
         sign = 1.0 if variant == "psi_plus" else -1.0
     else:
         raise ValidationError(f"variant must be one of {BELL_VARIANTS}")
@@ -554,31 +543,29 @@ def bell_target_vector(register: Register, variant: str, ms: int = -1):
     return v
 
 
-def bell_prepare_and_fidelity(register: Register, variant: str,
-                              ms: int = -1):
-    """Run the generation circuit from |ms, 00>; returns (state, fidelity
-    against the ideal Bell state, detection probability of the round trip).
-    """
-    state = register.pure_state(ms, (0, 0))
-    state = run_sequence(state, bell_sequence(register, variant, ms))
-    fid = state.fidelity(bell_target_vector(register, variant, ms))
-    back = run_sequence(state, bell_detect_sequence(register, variant, ms))
-    p00 = back.population(ms, (0, 0))
+def bell_prepare_and_fidelity(register: Register, variant: str):
+    """Run the generation circuit from |BELL_MS, 00>; returns (state,
+    fidelity to the ideal Bell state, round-trip detection probability)."""
+    state = register.pure_state(BELL_MS, (0, 0))
+    state = run_sequence(state, bell_sequence(register, variant))
+    fid = state.fidelity(bell_target_vector(register, variant))
+    back = run_sequence(state, bell_detect_sequence(register, variant))
+    p00 = back.population(BELL_MS, (0, 0))
     return state, fid, p00
 
 
 def bell_dephasing_fidelity(register: Register, variant: str, t_us,
-                            detuning1_mhz: float, detuning2_mhz: float,
-                            ms: int = -1) -> np.ndarray:
+                            detuning1_mhz: float,
+                            detuning2_mhz: float) -> np.ndarray:
     """Fidelity of an ideally prepared Bell state after free evolution with
     per-nucleus detunings: phi variants beat at the sum frequency, psi
     variants at the difference (stationary under common-mode detuning)."""
     t = np.asarray(t_us, dtype=float)
-    target = bell_target_vector(register, variant, ms)
+    target = bell_target_vector(register, variant)
     # detuning phases only; the deterministic eigenphases are removed the
     # way a rotating-frame readout removes them
-    l_a = register.level(ms, (0, 0) if variant.startswith("phi") else (0, 1))
-    l_b = register.level(ms, (1, 1) if variant.startswith("phi") else (1, 0))
+    pair = ((0, 0), (1, 1)) if variant.startswith("phi") else ((0, 1), (1, 0))
+    l_a, l_b = (register.level(BELL_MS, bits) for bits in pair)
     # m = 1/2 - bit, so m_a - m_b = bits_b - bits_a
     dm = np.subtract(register.labels[l_b][1], register.labels[l_a][1])
     rel = 2.0 * math.pi * float(np.dot([detuning1_mhz, detuning2_mhz], dm)) * t
@@ -592,7 +579,7 @@ def bell_dephasing_fidelity(register: Register, variant: str, t_us,
 
 
 def rabi_frequency_mhz(register: Register, channel: str, i: int, j: int,
-                       power: float = 1.0, kappa: float = None) -> float:
+                       power: float = 1.0) -> float:
     """Rabi frequency of a driven transition.
 
     RF transitions are hyperfine-enhanced: Omega = kappa * |A_eff| * sqrt(P)
@@ -605,8 +592,7 @@ def rabi_frequency_mhz(register: Register, channel: str, i: int, j: int,
     if channel not in CHANNELS:
         raise ValidationError(f"channel must be one of {CHANNELS}")
     if channel == "mw":
-        k = KAPPA_MW_MHZ if kappa is None else kappa
-        return k * math.sqrt(power)
+        return KAPPA_MW_MHZ * math.sqrt(power)
     bits_i = register.labels[i][1]
     bits_j = register.labels[j][1]
     flipped = [q for q, (a, b) in enumerate(zip(bits_i, bits_j)) if a != b]
@@ -614,16 +600,15 @@ def rabi_frequency_mhz(register: Register, channel: str, i: int, j: int,
         raise ValidationError("RF Rabi needs a single-nucleus transition")
     tens = register.spec.hyperfine[flipped[0]]
     a_eff = tens.secular_magnitude(np.asarray(register.spec.zfs.axis))
-    k = KAPPA_RF_PER_MHZ if kappa is None else kappa
-    return k * a_eff * math.sqrt(power)
+    return KAPPA_RF_PER_MHZ * a_eff * math.sqrt(power)
 
 
 def rabi_simulate(register: Register, channel: str, i: int, j: int, t_us,
-                  power: float = 1.0, kappa: float = None):
+                  power: float = 1.0):
     """Resonantly driven two-level population transfer: returns the
     population of level j versus drive duration, sin^2(pi Omega t)."""
     _validate_target(register, Pulse(channel, i, j, math.pi))
     t = np.asarray(t_us, dtype=float)
-    omega = rabi_frequency_mhz(register, channel, i, j, power, kappa)
+    omega = rabi_frequency_mhz(register, channel, i, j, power)
     pop = np.sin(math.pi * omega * t) ** 2
     return DecayCurve(t_us=t, signal=pop), omega

@@ -16,11 +16,11 @@ import numpy as np
 
 from . import _kernels
 from .constants import (
-    CONSTANTS,
+    ELECTRON_MHZ_PER_GAUSS,
     FIRST_SHELL_A_PAR_MHZ,
     FIRST_SHELL_A_PERP_MHZ,
     FIRST_SHELL_POLAR_DEG,
-    PhysicalConstants,
+    NUCLEAR_MHZ_PER_GAUSS,
     THIRD_SHELL_A_MHZ,
     ZFS_D_MHZ,
 )
@@ -168,7 +168,6 @@ class SpinSystemSpec:
     zfs: ZfsParams = _dc_field(default_factory=ZfsParams)
     field: ZeemanField = _dc_field(default_factory=ZeemanField)
     hyperfine: tuple = ()
-    constants: PhysicalConstants = _dc_field(default_factory=lambda: CONSTANTS)
 
     def __post_init__(self):
         hf = tuple(self.hyperfine)
@@ -215,7 +214,6 @@ def build_hamiltonian(spec: SpinSystemSpec) -> np.ndarray:
     operator sum (ZFS, electron Zeeman, then per nucleus S_p a_pq I_q for
     p, q in turn and its Zeeman term), so H is bitwise that sum.
     """
-    c = spec.constants
     n = spec.n_nuclei
     axis = np.asarray(spec.zfs.axis, dtype=float)
     bvec = spec.field.gauss * np.asarray(spec.field.direction, dtype=float)
@@ -225,12 +223,12 @@ def build_hamiltonian(spec: SpinSystemSpec) -> np.ndarray:
     eye = np.eye(2 ** n)
     s_axis = np.kron(axis[0] * SX1 + axis[1] * SY1 + axis[2] * SZ1, eye)
     h = spec.zfs.d_mhz * (s_axis @ s_axis)
-    h = h + np.kron(c.electron_mhz_per_gauss
+    h = h + np.kron(ELECTRON_MHZ_PER_GAUSS
                     * (bvec[0] * SX1 + bvec[1] * SY1 + bvec[2] * SZ1), eye)
 
     ix, iy, iz = _NUCLEAR_BLOCKS
-    zeeman = c.nuclear_mhz_per_gauss * (bvec[0] * ix + bvec[1] * iy
-                                        + bvec[2] * iz)
+    zeeman = NUCLEAR_MHZ_PER_GAUSS * (bvec[0] * ix + bvec[1] * iy
+                                      + bvec[2] * iz)
     for i, tens in enumerate(spec.hyperfine):
         a = tens.tensor(axis)
         # register index (m_s, nuclei before i, m_I, nuclei after i) ->

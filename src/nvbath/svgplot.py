@@ -87,7 +87,7 @@ def render_plot(series, xlabel: str = "", ylabel: str = "", title: str = "",
     """Render series to SVG text.
 
     series: iterable of dicts with keys x, y (sequences of equal length)
-    and optional label, color, points (draw markers instead of a line).
+    and optional label and points (draw markers instead of a line).
     """
     series = list(series)
     if not series:
@@ -135,7 +135,7 @@ def render_plot(series, xlabel: str = "", ylabel: str = "", title: str = "",
                f'height="{_H - _MT - _MB}" fill="none" stroke="#444444"/>')
 
     for k, (s, data) in enumerate(zip(series, kept)):
-        color = s.get("color") or _PALETTE[k % len(_PALETTE)]
+        color = _PALETTE[k % len(_PALETTE)]
         pts = [(x_axis.to_pix(xv), y_axis.to_pix(yv)) for xv, yv in data]
         if s.get("points"):
             for px, py in pts:
@@ -159,10 +159,10 @@ def render_plot(series, xlabel: str = "", ylabel: str = "", title: str = "",
                    f'text-anchor="middle" transform="rotate(-90 18 '
                    f'{cy:.0f})">{ylabel}</text>')
 
-    labeled = [s for s in series if s.get("label")]
-    for k, s in enumerate(labeled):
-        color = s.get("color") or _PALETTE[series.index(s) % len(_PALETTE)]
-        ly = _MT + 14 + 16 * k
+    labeled = [(k, s) for k, s in enumerate(series) if s.get("label")]
+    for row, (k, s) in enumerate(labeled):
+        color = _PALETTE[k % len(_PALETTE)]
+        ly = _MT + 14 + 16 * row
         out.append(f'<line x1="{_W - _MR - 120}" y1="{ly - 4}" '
                    f'x2="{_W - _MR - 96}" y2="{ly - 4}" stroke="{color}" '
                    f'stroke-width="2"/>')

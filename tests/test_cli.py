@@ -307,6 +307,26 @@ def test_pulse_bell_and_endor(tmp_path, capsys):
     assert main(base + ["--bell", "nope"]) == 2
 
 
+@pytest.mark.parametrize("argv, config, key", [
+    (["pulse", "--rabi", "rf", "4", "6", "--points", "-1"], None, "--points"),
+    (["pulse", "--bell", "phi_plus", "--detune", "0.2,0.1", "--points", "-3"],
+     None, "--points"),
+    (["linewidth"], {"n_min": 0}, "n_min"),
+    (["spectrum"], {"field_gauss": "abc"}, "field_gauss"),
+], ids=["rabi-points", "bell-points", "linewidth-n_min", "spectrum-field"])
+def test_malformed_numbers_exit_two(tmp_path, capsys, argv, config, key):
+    if argv[0] == "pulse":
+        argv = argv + ["--field", "83", "--first-shell", "0",
+                       "--third-shell", "1"]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
 def test_pulse_mode_exclusivity(tmp_path, capsys):
     base = ["pulse", "--field", "83", "--out-dir", str(tmp_path)]
     assert main(base) == 2

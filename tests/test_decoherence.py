@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nvbath.constants import CONSTANTS
+from nvbath.constants import NN_DIPOLAR_KHZ_A3
 from nvbath.decoherence import (
     BATH_CHUNK_SAMPLES,
     CONCENTRATION_LABEL_NOTE,
@@ -336,7 +336,7 @@ def test_pair_couplings_geometry():
                           [30.0, 0.0, 0.0]])
     pc = pair_couplings(positions, (0.0, 0.0, 0.0), (0.0, 4.0, 0.0),
                         near_radius_angstrom=10.0)
-    k = CONSTANTS.nn_dipolar_khz_a3
+    k = NN_DIPOLAR_KHZ_A3
     assert abs(pc.c1_khz[0] - k) <= 1e-12 * k
     assert pc.c1_khz[2] == 0.0  # beyond the near radius
     assert abs(pc.c2_khz[1] - k) <= 1e-12 * k

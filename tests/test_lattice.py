@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from lattice_reference import (brute_force_quarters, reference_shells,
                                reference_sites, symmetry_classes)
-from nvbath.constants import CONSTANTS, LATTICE_A_ANGSTROM
+from nvbath.constants import (BOHR_MAGNETON, G_ELECTRON_NV, G_NUCLEAR_C13,
+                              LATTICE_A_ANGSTROM, MU0, NUCLEAR_MAGNETON,
+                              PLANCK_H)
 from nvbath.errors import ResourceLimitError, ValidationError
 from nvbath.lattice import (
     BYTES_PER_SITE,
@@ -171,8 +173,8 @@ def test_coupling_decreases_on_axis():
 def test_coupling_magnitude_oracle():
     # mu0/(4 pi) * g_e mu_B g_n mu_N / h / r^3, converted to kHz at Angstrom
     r_m = 3.5e-10
-    k = (CONSTANTS.mu0 / (4.0 * math.pi) * CONSTANTS.g_e * CONSTANTS.mu_b
-         * CONSTANTS.g_n * CONSTANTS.mu_n / CONSTANTS.h / r_m ** 3) / 1e3
+    k = (MU0 / (4.0 * math.pi) * G_ELECTRON_NV * BOHR_MAGNETON
+         * G_NUCLEAR_C13 * NUCLEAR_MAGNETON / PLANCK_H / r_m ** 3) / 1e3
     got = electron_coupling_khz(np.array([[3.5, 0.0, 0.0]]))[0]
     assert abs(got - k) / k <= 1e-12
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nvbath.constants import CONSTANTS
+from nvbath.constants import DIPOLAR_PREFACTOR_CM3_HZ
 from nvbath.errors import InsufficientSitesError, ValidationError
 from nvbath.lattice import classify_shells, generate_lattice
 from nvbath.linewidth import (
@@ -45,7 +45,7 @@ def test_contact_sqrt_scaling_exact():
 
 def test_dipolar_formula_oracle():
     n = 3e-4
-    expect = CONSTANTS.dipolar_prefactor_cm3_hz * math.sqrt(
+    expect = DIPOLAR_PREFACTOR_CM3_HZ * math.sqrt(
         DIPOLAR_COEFF_CM6 * n)
     got = dipolar_linewidth_closed_form(n)
     assert abs(got - expect) <= 1e-12 * expect

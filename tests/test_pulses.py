@@ -186,8 +186,6 @@ def test_free_evolution_phases():
     lam = reg.eig.values
     np.testing.assert_allclose(np.diag(u),
                                np.exp(-2j * math.pi * lam * t), atol=1e-12)
-    with pytest.raises(ValidationError):
-        free_unitary(reg, 1.0, nuclear_detunings_mhz=[0.1])
 
 
 def test_state_validation():

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nvbath.constants import CONSTANTS
+from nvbath.constants import (BOHR_MAGNETON, G_ELECTRON_NV, G_NUCLEAR_C13,
+                              NUCLEAR_MAGNETON, PLANCK_H)
 from nvbath.errors import ValidationError
 from nvbath.spinsys import (
     EigenSystem,
@@ -28,8 +29,8 @@ from nvbath.spinsys import (
     third_shell_tensor,
 )
 
-GAMMA_E = CONSTANTS.g_e * CONSTANTS.mu_b / CONSTANTS.h * 1e-10   # MHz/G
-GAMMA_N = CONSTANTS.g_n * CONSTANTS.mu_n / CONSTANTS.h * 1e-10   # MHz/G
+GAMMA_E = G_ELECTRON_NV * BOHR_MAGNETON / PLANCK_H * 1e-10    # MHz/G
+GAMMA_N = G_NUCLEAR_C13 * NUCLEAR_MAGNETON / PLANCK_H * 1e-10  # MHz/G
 
 SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2)
 SY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]],
