@@ -121,6 +121,16 @@ def _number(value, name: str, kind=float):
             f"config value {name} is not numeric: {value!r}") from None
 
 
+def _numbers(value, name: str, size=None):
+    """A config list of numbers (of the given size, if any) as floats; any
+    other value is a usage error naming its key."""
+    if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+        count = "" if size is None else f"{size} "
+        raise ValidationError(f"config value {name} must be a list of "
+                              f"{count}numbers, got {value!r}")
+    return [_number(v, f"{name}[{k}]") for k, v in enumerate(value)]
+
+
 def _parse_floats(text: str, what: str):
     try:
         vals = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -192,8 +202,10 @@ _SYSTEM_DEFAULTS = {
 
 
 def _system_from_config(cfg) -> SpinSystemSpec:
-    zfs = ZfsParams.along(cfg["zfs_axis"], _number(cfg["zfs_mhz"], "zfs_mhz"))
-    fld = ZeemanField.along(cfg["field_direction"],
+    zfs = ZfsParams.along(_numbers(cfg["zfs_axis"], "zfs_axis", 3),
+                          _number(cfg["zfs_mhz"], "zfs_mhz"))
+    fld = ZeemanField.along(_numbers(cfg["field_direction"],
+                                     "field_direction", 3),
                             _number(cfg["field_gauss"], "field_gauss"))
     nuclei = []
     for k, item in enumerate(cfg.get("nuclei") or []):
@@ -264,8 +276,10 @@ def cmd_spectrum(args) -> int:
                      overrides, "spectrum")
     digest = _config_digest(cfg)
     window = cfg["window_mhz"]
-    if window is not None and len(window) != 2:
-        raise ValidationError("window needs exactly two values: lo,hi")
+    if window is not None:
+        window = _numbers(window, "window_mhz")
+        if len(window) != 2:
+            raise ValidationError("window needs exactly two values: lo,hi")
     spec = _system_from_config(cfg)
     eig = diagonalize(build_hamiltonian(spec))
     floor = _number(cfg["intensity_floor"], "intensity_floor")
@@ -278,7 +292,7 @@ def cmd_spectrum(args) -> int:
         lo = min(l.freq_mhz for l in lines) - 5.0 * fwhm
         hi = max(l.freq_mhz for l in lines) + 5.0 * fwhm
         grid = (lo, hi, fwhm / 10.0)
-    elif len(grid) != 3:
+    elif len(_numbers(grid, "grid_mhz")) != 3:
         raise ValidationError("grid needs exactly three values: "
                               "start,stop,step")
     spectrum = synth_spectrum(lines, grid, fwhm)
@@ -333,7 +347,8 @@ def cmd_linewidth(args) -> int:
                      overrides, "linewidth")
     digest = _config_digest(cfg)
     if cfg["concentrations"] is not None:
-        n_values = np.asarray(cfg["concentrations"], dtype=float)
+        n_values = np.asarray(_numbers(cfg["concentrations"],
+                                       "concentrations"))
     else:
         n_min = _number(cfg["n_min"], "n_min")
         n_max = _number(cfg["n_max"], "n_max")

@@ -4,9 +4,13 @@ States live in the eigenbasis of the full spin Hamiltonian. Each eigenstate
 carries a label (m_s, nuclear bits) from its dominant product-state
 character; bit 0 means m_I = +1/2. Ideal pulses are instantaneous two-level
 rotations exp(-i theta/2 (cos phi X + sin phi Y)) on a target eigenstate
-pair; finite-duration pulses evolve under the static Hamiltonian plus the
-rotating-wave drive via a matrix exponential (counter-rotating terms
-neglected). Free evolution accumulates exact eigenphases.
+pair. A finite-duration pulse evolves under the static Hamiltonian plus the
+rotating-wave drive (counter-rotating terms neglected); in the drive frame
+that Hamiltonian is diagonal except for the target pair, so the pair evolves
+by the exponential of one 2x2 block and every other level by its own
+eigenphase. Free evolution accumulates exact eigenphases. A sequence updates
+the density matrix through this structure: rows and columns i, j for a
+pulse, an elementwise phase for a wait.
 """
 
 from __future__ import annotations
@@ -203,14 +207,14 @@ class Register:
         rho = np.zeros((self.dim, self.dim), dtype=complex)
         k = self.level(ms, bits)
         rho[k, k] = 1.0
-        return RegisterState(self, rho)
+        return RegisterState._trusted(self, rho)
 
     def mixed_nuclei_state(self, ms: int = 0) -> "RegisterState":
         """Default initialization: chosen m_s manifold, maximally mixed
         nuclei."""
         w = 1.0 / 2 ** self.n_nuclei
         rho = np.diag([w if m == ms else 0.0 for m, _ in self.labels])
-        return RegisterState(self, rho.astype(complex))
+        return RegisterState._trusted(self, rho.astype(complex))
 
 
 class RegisterState:
@@ -230,11 +234,18 @@ class RegisterState:
         self.register = register
         self.rho = rho
 
-    def evolved(self, unitary) -> "RegisterState":
-        out = RegisterState.__new__(RegisterState)
-        out.register = self.register
-        out.rho = unitary @ self.rho @ unitary.conj().T
+    @classmethod
+    def _trusted(cls, register: Register, rho: np.ndarray) -> "RegisterState":
+        """A state whose rho the register built or evolved itself, so it is
+        a density matrix by construction and is not checked again."""
+        out = cls.__new__(cls)
+        out.register = register
+        out.rho = rho
         return out
+
+    def evolved(self, unitary) -> "RegisterState":
+        return RegisterState._trusted(
+            self.register, unitary @ self.rho @ unitary.conj().T)
 
     def population(self, ms: int, bits) -> float:
         k = self.register.level(ms, bits)
@@ -347,53 +358,79 @@ def _validate_target(register: Register, pulse: Pulse):
                 f"{bits_i} / {bits_j}")
 
 
-def pulse_unitary(register: Register, pulse: Pulse) -> np.ndarray:
-    """Unitary of one pulse in the register eigenbasis."""
-    _validate_target(register, pulse)
-    dim = register.dim
+def _free_phases(register: Register, t_us: float) -> np.ndarray:
+    """exp(-2 pi i E t) of every level: the exact free eigenphases."""
+    return np.exp(1j * (-2.0 * math.pi * register.eig.values * t_us))
+
+
+def _pulse_block(register: Register, pulse: Pulse):
+    """(phase, block) of a validated pulse. Its unitary in the register
+    eigenbasis is diag(phase) with the 2x2 block on levels (i, j); phase
+    is None for an instantaneous pulse, which leaves every other level
+    alone, and is 1 at i and j otherwise."""
     i, j = pulse.i, pulse.j
     th, ph = pulse.angle_rad, pulse.phase_rad
     if pulse.duration_us is None:
-        u = np.eye(dim, dtype=complex)
         c, s = math.cos(th / 2.0), math.sin(th / 2.0)
-        u[i, i] = c
-        u[j, j] = c
-        u[i, j] = -1j * s * np.exp(-1j * ph)
-        u[j, i] = -1j * s * np.exp(1j * ph)
-        return u
-    # finite duration: rotating-wave drive plus static phases
+        return None, np.array([[c, -1j * s * np.exp(-1j * ph)],
+                               [-1j * s * np.exp(1j * ph), c]])
+    # finite duration: the rotating-wave Hamiltonian diag(E) - f e_j e_j^T
+    # + drive couples only i and j, where it is E_i times the identity
+    # plus the drive and the residue E_j - f - E_i; the 2x2 eigh sees only
+    # the latter two, so its phases keep the precision of the drive
     tau = pulse.duration_us
     f_drive = register.freq_mhz(i, j)
     omega_cyc = th / (2.0 * math.pi * tau)  # Rabi frequency in MHz
-    lam = register.eig.values.astype(complex)
-    h = np.diag(lam)
-    h[j, j] -= f_drive
-    h[i, j] += 0.5 * omega_cyc * np.exp(-1j * ph)
-    h[j, i] += 0.5 * omega_cyc * np.exp(1j * ph)
+    lam = register.eig.values
+    drive = 0.5 * omega_cyc * np.exp(-1j * ph)
+    residue = lam[j] - f_drive - lam[i]
+    h = np.array([[0.0, drive], [drive.conjugate(), residue]])
     vals, vecs = np.linalg.eigh(h)
-    u_rwa = vecs @ np.diag(np.exp(-2j * math.pi * vals * tau)) @ vecs.conj().T
-    frame = np.ones(dim, dtype=complex)
-    frame[j] = np.exp(-2j * math.pi * f_drive * tau)
-    return frame[:, None] * u_rwa
+    phase = _free_phases(register, tau)
+    block = (vecs * np.exp(-2j * math.pi * vals * tau)) @ vecs.conj().T \
+        * phase[i]
+    block[1] *= np.exp(-2j * math.pi * f_drive * tau)  # back to the lab frame
+    phase[[i, j]] = 1.0
+    return phase, block
+
+
+def pulse_unitary(register: Register, pulse: Pulse) -> np.ndarray:
+    """Unitary of one pulse in the register eigenbasis."""
+    _validate_target(register, pulse)
+    phase, block = _pulse_block(register, pulse)
+    u = (np.eye(register.dim, dtype=complex) if phase is None
+         else np.diag(phase))
+    u[np.ix_((pulse.i, pulse.j), (pulse.i, pulse.j))] = block
+    return u
 
 
 def free_unitary(register: Register, t_us: float) -> np.ndarray:
     """Free evolution: the exact eigenphases of each level."""
-    phases = -2.0 * math.pi * register.eig.values * t_us
-    return np.diag(np.exp(1j * phases))
+    return np.diag(_free_phases(register, t_us))
 
 
 def run_sequence(state: RegisterState, items) -> RegisterState:
-    """Apply pulses and free-evolution segments in order."""
+    """Apply pulses and free-evolution segments in order. Each item updates
+    a copy of rho through its structure: a wait multiplies by the phase
+    outer product, a pulse turns rows and then columns i, j by its block."""
+    register = state.register
+    rho = state.rho.copy()
     for item in items:
         if isinstance(item, Pulse):
-            state = state.evolved(pulse_unitary(state.register, item))
+            _validate_target(register, item)
+            phase, block = _pulse_block(register, item)
+            if phase is not None:
+                rho *= phase[:, None] * phase.conj()[None, :]
+            ij = [item.i, item.j]
+            rho[ij, :] = block @ rho[ij, :]
+            rho[:, ij] = rho[:, ij] @ block.conj().T
         elif isinstance(item, Wait):
-            state = state.evolved(free_unitary(state.register, item.t_us))
+            phase = _free_phases(register, item.t_us)
+            rho *= phase[:, None] * phase.conj()[None, :]
         else:
             raise ValidationError(f"sequence items must be Pulse or Wait, "
                                   f"got {type(item).__name__}")
-    return state
+    return RegisterState._trusted(register, rho)
 
 
 # ----- sequence file grammar ---------------------------------------------

@@ -1,9 +1,13 @@
 """Per-level reference register for the tests: comparison states built one
 np.kron at a time, a greedy label loop over every sorted overlap with a
-per-level runner-up scan, and the pulse-target validation as a loop over
-every level pair. It shares no label or validation code with
-nvbath.pulses; only the per-nucleus spinors (Register._electron_states and
-Register._nuclear_spinors) are taken from the register under test."""
+per-level runner-up scan, the pulse-target validation as a loop over
+every level pair, and a dense propagator that exponentiates each item's
+full dim x dim Hamiltonian. It shares no label, validation or evolution
+code with nvbath.pulses; only the per-nucleus spinors
+(Register._electron_states and Register._nuclear_spinors) are taken from
+the register under test."""
+
+import math
 
 import numpy as np
 
@@ -105,3 +109,50 @@ def reference_validate(register, pulse):
             raise ValidationError(
                 f"control {q}:{s} contradicts the target labels "
                 f"{bits_i} / {bits_j}")
+
+
+def _dense_exp(h, t):
+    """exp(-2 pi i h t) of a Hermitian dim x dim matrix by its full eigh."""
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(-2j * math.pi * vals * t)) @ vecs.conj().T
+
+
+def reference_evolve(register, rho, items):
+    """rho after the sequence, one dense unitary per item.
+
+    A wait exponentiates diag(E), an ideal pulse the generator
+    theta/2 (cos phi X + sin phi Y) on its pair. A finite pulse builds its
+    whole rotating-wave Hamiltonian H = diag(E) - f e_j e_j^T + drive and
+    splits it exactly as H = D + V: D is diag(H) with E_i on both levels
+    of the pair, so D and V commute and exp(-2 pi i H tau) =
+    exp(-2 pi i D tau) exp(-2 pi i V tau), with V exponentiated by its full
+    eigh. The frame phase exp(-2 pi i f tau) then goes on row j. (A full
+    eigh of H itself, of norm ~3 GHz, loses eps |H| 2 pi tau ~ 1e-11 rad
+    in the spectator phases.)"""
+    dim = register.dim
+    lam = register.eig.values
+    for item in items:
+        if isinstance(item, pulses.Wait):
+            u = _dense_exp(np.diag(lam).astype(complex), item.t_us)
+        else:
+            i, j = item.i, item.j
+            th, ph = item.angle_rad, item.phase_rad
+            if item.duration_us is None:
+                g = np.zeros((dim, dim), dtype=complex)
+                g[i, j] = th / 2.0 * np.exp(-1j * ph)
+                g[j, i] = th / 2.0 * np.exp(1j * ph)
+                u = _dense_exp(g, 1.0 / (2.0 * math.pi))
+            else:
+                tau = item.duration_us
+                f = lam[j] - lam[i]
+                h = np.diag(lam).astype(complex)
+                h[j, j] -= f
+                h[i, j] += th / (4.0 * math.pi * tau) * np.exp(-1j * ph)
+                h[j, i] += th / (4.0 * math.pi * tau) * np.exp(1j * ph)
+                d = np.real(np.diag(h)).copy()
+                d[j] = d[i]
+                u = np.exp(-2j * math.pi * d * tau)[:, None] \
+                    * _dense_exp(h - np.diag(d), tau)
+                u[j] *= np.exp(-2j * math.pi * f * tau)
+        rho = u @ rho @ u.conj().T
+    return rho

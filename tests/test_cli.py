@@ -313,7 +313,13 @@ def test_pulse_bell_and_endor(tmp_path, capsys):
      None, "--points"),
     (["linewidth"], {"n_min": 0}, "n_min"),
     (["spectrum"], {"field_gauss": "abc"}, "field_gauss"),
-], ids=["rabi-points", "bell-points", "linewidth-n_min", "spectrum-field"])
+    (["spectrum"], {"window_mhz": ["a", "b"]}, "window_mhz[0]"),
+    (["spectrum"], {"field_direction": ["a", 1, 1]}, "field_direction[0]"),
+    (["linewidth"], {"concentrations": 0.1}, "concentrations"),
+    (["linewidth"], {"concentrations": ["a"]}, "concentrations[0]"),
+], ids=["rabi-points", "bell-points", "linewidth-n_min", "spectrum-field",
+        "spectrum-window-list", "spectrum-direction-list",
+        "linewidth-concentrations-scalar", "linewidth-concentrations-list"])
 def test_malformed_numbers_exit_two(tmp_path, capsys, argv, config, key):
     if argv[0] == "pulse":
         argv = argv + ["--field", "83", "--first-shell", "0",

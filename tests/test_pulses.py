@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nvbath.pulses as pulses_mod
-from register_reference import reference_labels, reference_validate
+from register_reference import (reference_evolve, reference_labels,
+                                reference_validate)
 from nvbath.errors import AmbiguousTransitionError, ValidationError
 from nvbath.pulses import (
     BELL_VARIANTS,
@@ -192,15 +193,17 @@ def test_state_validation():
     reg = make_bare()
     good = np.diag([0.5, 0.5, 0.0]).astype(complex)
     RegisterState(reg, good)
+    with pytest.raises(ValidationError, match="dimension"):
+        RegisterState(reg, np.eye(2) / 2.0)
     bad_trace = np.diag([0.6, 0.5, 0.0]).astype(complex)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="trace"):
         RegisterState(reg, bad_trace)
     herm = good.copy()
     herm[0, 1] = 0.3
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="Hermitian"):
         RegisterState(reg, herm)
     neg = np.diag([1.2, -0.2, 0.0]).astype(complex)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="positive"):
         RegisterState(reg, neg)
 
 
@@ -324,10 +327,12 @@ _tensors = st.one_of(
 
 
 @st.composite
-def registers(draw, max_nuclei=4):
-    """Registers of up to max_nuclei nuclei; some repeat a tensor, which
-    makes equivalent nuclei with symmetry-mixed, unaddressable levels."""
-    hyperfine = draw(st.lists(_tensors, max_size=max_nuclei))
+def registers(draw, max_nuclei=4, min_nuclei=0):
+    """Registers of min_nuclei to max_nuclei nuclei; some repeat a tensor,
+    which makes equivalent nuclei with symmetry-mixed, unaddressable
+    levels."""
+    hyperfine = draw(st.lists(_tensors, min_size=min_nuclei,
+                              max_size=max_nuclei))
     if len(hyperfine) >= 2 and draw(st.booleans()):
         hyperfine[1] = hyperfine[0]
     direction = draw(st.sampled_from([(1.0, 1.0, 1.0), (0.0, 0.0, 1.0),
@@ -415,3 +420,60 @@ def test_pulses_unitary_and_state_stays_physical(data, reg):
         rho = state.rho
         assert abs(np.trace(rho) - 1.0) <= 1e-12
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+
+
+@st.composite
+def sequences(draw, reg):
+    """Ideal and finite MW/RF pulses on pairs the reference lets through,
+    and waits that include Wait(0)."""
+    usable = [(ch, i, j) for ch in pulses_mod.CHANNELS
+              for i, j in _allowed_pairs(reg, ch)
+              if _outcome(reference_validate, reg, Pulse(ch, i, j, 1.0))
+              is None]
+    waits = st.builds(Wait, st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+    if not usable:
+        return draw(st.lists(waits, max_size=4))
+    pulses = st.builds(
+        lambda target, th, ph, dur: Pulse(*target, th, ph, dur),
+        st.sampled_from(usable), st.floats(-7.0, 7.0), st.floats(0.0, 6.3),
+        st.one_of(st.none(), st.floats(0.5, 5.0)))
+    return draw(st.lists(st.one_of(pulses, waits), max_size=10))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), reg=registers(min_nuclei=1),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_run_sequence_matches_dense_reference(data, reg, seed):
+    items = data.draw(sequences(reg))
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(reg.dim, reg.dim)) \
+        + 1j * rng.normal(size=(reg.dim, reg.dim))
+    rho = a @ a.conj().T
+    state = RegisterState(reg, rho / np.trace(rho))
+    before = state.rho.copy()
+    out = run_sequence(state, items).rho
+    assert np.array_equal(state.rho, before)
+    assert np.max(np.abs(out - reference_evolve(reg, before, items))) \
+        <= 1e-12
+    # the dense public unitaries embed the same per-item update
+    for item in items:
+        state = state.evolved(free_unitary(reg, item.t_us)
+                              if isinstance(item, Wait)
+                              else pulse_unitary(reg, item))
+    assert np.max(np.abs(state.rho - out)) <= 1e-12
+    assert abs(np.trace(out) - 1.0) <= 1e-12
+    assert np.max(np.abs(out - out.conj().T)) <= 1e-12
+    assert abs(np.trace(out @ out) - np.trace(before @ before)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), reg=registers(max_nuclei=3))
+def test_register_built_states_are_density_matrices(data, reg):
+    ms = data.draw(st.sampled_from((1, 0, -1)))
+    bits = data.draw(st.tuples(*[st.integers(0, 1)] * reg.n_nuclei))
+    for state in (reg.pure_state(ms, bits), reg.mixed_nuclei_state(ms)):
+        rho = state.rho
+        assert np.array_equal(rho, rho.conj().T)
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        assert np.min(np.linalg.eigvalsh(rho)) >= 0.0
+        RegisterState(reg, rho)  # passes every check of a supplied rho
