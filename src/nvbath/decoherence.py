@@ -389,6 +389,33 @@ def pair_couplings(positions, p1, p2,
                          near_radius_angstrom=float(near_radius_angstrom))
 
 
+def _occupied_cells(gen, cells: int, p: float) -> np.ndarray:
+    """Sorted flat indices of the occupied cells among `cells` independent
+    cells, each occupied with probability p (0 <= p < 1).
+
+    The gap from one occupied cell to the next (the first counted from
+    cell -1) is geometric, 1 + floor(log1p(-u) / log1p(-p)) for a uniform u
+    from gen. Gaps are drawn in batches of int(mu + 3 sqrt(mu)) + 1, mu
+    being p times the cells not yet passed, until they pass the last cell;
+    the uniforms left over from the last batch are discarded.
+    """
+    if p == 0.0 or cells == 0:
+        return np.empty(0, dtype=np.int64)
+    log_q = math.log1p(-p)
+    ends, passed = [], 0.0
+    while passed < cells:
+        mu = p * (cells - passed)
+        u = gen.random(int(mu + 3.0 * math.sqrt(mu)) + 1)
+        with np.errstate(over="ignore"):  # tiny p: an infinite gap passes all
+            gaps = np.floor(np.log1p(-u) / log_q) + 1.0
+        # one past each occupied cell; integers, exact in float64
+        end = passed + np.cumsum(gaps)
+        ends.append(end)
+        passed = end[-1]
+    end = np.concatenate(ends)
+    return (end[end <= cells] - 1.0).astype(np.int64)
+
+
 def simulate_bath_fid(couplings: PairCouplings, kind: str, t_us,
                       n_samples: int = 1000, seed: int = 0,
                       occupancy: float = None) -> DecayCurve:
@@ -398,15 +425,20 @@ def simulate_bath_fid(couplings: PairCouplings, kind: str, t_us,
     probability p/2 each and leaves it empty otherwise (p = occupancy, or 1
     when occupancy is None); the envelope is the ensemble mean of
     cos((w1*dw1 + w2*dw2) t) with the (w1, w2) weights of the coherence
-    kind. The envelope is exactly 1 at t = 0.
+    kind, whose exact value is prod_k [(1 - p) + p cos(omega_k t / 2)].
+    The envelope is exactly 1 at t = 0.
 
-    Only sites coupled to at least one register nucleus are drawn, with one
-    uniform variate u per (sample, site): +1/2 if u < p/2, -1/2 if
-    p/2 <= u < p, empty otherwise. The drawn sites do not depend on kind,
-    so all kinds at one seed see the same bath draws. Samples are drawn
-    BATH_CHUNK_SAMPLES at a time from one Philox stream read in order:
-    memory is bounded whatever n_samples is, and the chunk size changes
-    only the rounding of the sample sum.
+    Only sites coupled to at least one register nucleus are drawn. The
+    drawn sites do not depend on kind, so all kinds at one seed see the
+    same bath. Samples are drawn BATH_CHUNK_SAMPLES at a time from one
+    Philox stream read in order, so memory is bounded whatever n_samples
+    is. In a chunk of m samples and n coupled sites, the occupied cells of
+    the flat m*n (sample, site) grid are drawn as geometric gaps
+    (_occupied_cells), then one uniform u per occupied cell, in cell order,
+    gives +1/2 if u < 1/2 and -1/2 otherwise; the cost grows with the
+    occupied cells, not with m*n. At p = 1 every cell is occupied and only
+    the signs are drawn; at p = 0 nothing is drawn. The chunk size changes
+    which uniforms fill which cells, but not the distribution of the draw.
     """
     kind = kind.lower()
     if kind not in COHERENCE_WEIGHTS:
@@ -437,9 +469,13 @@ def simulate_bath_fid(couplings: PairCouplings, kind: str, t_us,
     total = np.zeros(len(t))
     for start in range(0, n_samples, BATH_CHUNK_SAMPLES):
         m = min(BATH_CHUNK_SAMPLES, n_samples - start)
-        u = gen.random((m, omega.size))
-        spins = (u < 0.5 * p).astype(float)
-        spins -= 0.5 * (u < p)
+        if p == 1.0:
+            spins = (gen.random((m, omega.size)) < 0.5) - 0.5
+        else:
+            cells = _occupied_cells(gen, m * omega.size, p)
+            spins = np.zeros(m * omega.size)
+            spins[cells] = (gen.random(cells.size) < 0.5) - 0.5
+            spins = spins.reshape(m, omega.size)
         total += m * _kernels.phase_envelope(spins, omega, t)
     return DecayCurve(t_us=t, signal=total / n_samples)
 

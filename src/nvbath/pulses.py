@@ -286,6 +286,10 @@ class Pulse:
             raise ValidationError(f"channel must be one of {CHANNELS}")
         if self.i == self.j:
             raise ValidationError("target pair must be two distinct levels")
+        for name in ("angle_rad", "phase_rad", "duration_us"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"pulse {name} must be finite")
         if self.duration_us is not None and self.duration_us <= 0:
             raise ValidationError("pulse duration must be positive")
         if self.control is not None:
@@ -302,6 +306,8 @@ class Wait:
     t_us: float
 
     def __post_init__(self):
+        if not math.isfinite(self.t_us):
+            raise ValidationError("wait t_us must be finite")
         if self.t_us < 0:
             raise ValidationError("wait time must be nonnegative")
 

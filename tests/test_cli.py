@@ -250,6 +250,22 @@ def test_pulse_init_validation(tmp_path, capsys):
     assert "names 1 nuclei" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, field", [("MW 2 4 nan 0", "angle_rad"),
+                                         ("WAIT inf", "t_us"),
+                                         ("MW 2 4 3.14 0 dur=inf",
+                                          "duration_us")])
+def test_pulse_sequence_rejects_non_finite_values(tmp_path, capsys, line,
+                                                  field):
+    seq = tmp_path / "bad.seq"
+    seq.write_text(line + "\n")
+    assert main(["pulse", "--field", "83", "--first-shell", "0",
+                 "--third-shell", "1", "--sequence", str(seq),
+                 "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not (tmp_path / "populations.csv").exists()
+
+
 def test_pulse_rabi_sweep(tmp_path, capsys):
     reg = cli_register()
     i, j = reg.level(0, (0, 0)), reg.level(-1, (0, 0))

@@ -4,16 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nvbath.constants import NN_DIPOLAR_KHZ_A3
 from nvbath.decoherence import (
     BATH_CHUNK_SAMPLES,
     CONCENTRATION_LABEL_NOTE,
+    MIN_BATH_SAMPLES,
     MIN_FIT_POINTS,
     MODELS,
     REFERENCE_T2_SCALING_POINTS,
     DecayCurve,
     PairCouplings,
+    _occupied_cells,
     bell_t2star_from_sq,
     bell_t2star_intervals,
     echo_model,
@@ -284,16 +287,37 @@ def test_uncoupled_sites_do_not_change_the_draw():
             assert np.array_equal(got.signal, want.signal)
 
 
-def test_chunked_draw_matches_one_dense_draw():
+def _reference_spins(seed, n_samples, n_sites, p):
+    # the draw rebuilt from its contract: per chunk of BATH_CHUNK_SAMPLES
+    # samples, geometric gaps 1 + floor(log1p(-u) / log1p(-p)) over the flat
+    # (sample, site) grid, drawn in batches of int(mu + 3 sqrt(mu)) + 1
+    # until they pass the last cell, then one uniform per occupied cell in
+    # cell order: +1/2 below 1/2, -1/2 otherwise
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    chunks = []
+    for start in range(0, n_samples, BATH_CHUNK_SAMPLES):
+        cells = min(BATH_CHUNK_SAMPLES, n_samples - start) * n_sites
+        occupied, edge = [], 0
+        while edge < cells:
+            mu = p * (cells - edge)
+            u = gen.random(int(mu + 3 * math.sqrt(mu)) + 1)
+            for gap in np.floor(np.log1p(-u) / math.log1p(-p)) + 1:
+                edge += int(gap)
+                if edge <= cells:
+                    occupied.append(edge - 1)
+        chunk = np.zeros(cells)
+        chunk[occupied] = np.where(gen.random(len(occupied)) < 0.5, 0.5, -0.5)
+        chunks.append(chunk.reshape(-1, n_sites))
+    return np.vstack(chunks)
+
+
+def test_draw_is_gaps_then_signs_chunk_by_chunk():
     c1 = np.array([3.0, 0.0, 7.0, 1.5, 0.2])
     c2 = np.array([0.5, 2.0, 0.0, 4.0, 0.0])
     t = np.linspace(0.0, 3.0, 31) * 1e3
     n, p, seed = 2 * BATH_CHUNK_SAMPLES + 37, 0.4, 13
-    # every site is coupled to a nucleus, so every kind draws all five:
-    # one uniform per (sample, site) gives +1/2 (u < p/2), -1/2
-    # (p/2 <= u < p) or an empty site
-    u = np.random.Generator(np.random.Philox(key=seed)).random((n, 5))
-    spins = np.where(u < p / 2, 0.5, np.where(u < p, -0.5, 0.0))
+    # every site is coupled to a nucleus, so every kind draws all five
+    spins = _reference_spins(seed, n, 5, p)
     for kind, (w1, w2) in _WEIGHTS.items():
         env = simulate_bath_fid(_two_site_couplings(c1, c2), kind, t,
                                 n_samples=n, seed=seed, occupancy=p)
@@ -301,6 +325,58 @@ def test_chunked_draw_matches_one_dense_draw():
         dense = np.cos(np.outer(theta, t)).mean(axis=0)
         np.testing.assert_allclose(env.signal, dense, rtol=0, atol=1e-12)
         assert env.signal[0] == 1.0
+
+
+def test_occupied_cell_count_is_binomial():
+    cells, p, draws = 1000, 0.05, 10000
+    gen = np.random.Generator(np.random.Philox(key=3))
+    counts = np.empty(draws)
+    for k in range(draws):
+        occ = _occupied_cells(gen, cells, p)
+        assert occ[0] >= 0 and occ[-1] < cells and np.all(np.diff(occ) > 0)
+        counts[k] = occ.size
+    mean, var = cells * p, cells * p * (1 - p)
+    assert abs(counts.mean() - mean) <= 5 * math.sqrt(var / draws)
+    assert abs(counts.var(ddof=1) / var - 1) <= 5 * math.sqrt(2 / draws)
+
+
+def test_occupied_cells_top_up_until_every_cell_is_passed():
+    class Zeros:
+        # u = 0 makes every gap 1, so each batch fills as many cells as it
+        # has gaps and the batches must top up to reach the last cell
+        def random(self, k):
+            return np.zeros(k)
+
+    assert np.array_equal(_occupied_cells(Zeros(), 1000, 0.05),
+                          np.arange(1000))
+
+
+def test_full_and_empty_bath_edges():
+    t = np.linspace(0.0, 3.0, 31) * 1e3
+    one_site = _two_site_couplings([7.3], [0.0])
+    omega = 2.0e-3 * math.pi * 7.3
+    for occ in (None, 1.0):
+        # every sample holds the spin at +-1/2, so each one is cos(omega t/2);
+        # only the rounding of the sample sum is left
+        env = simulate_bath_fid(one_site, "sq1", t, n_samples=300, seed=2,
+                                occupancy=occ)
+        np.testing.assert_allclose(env.signal, np.cos(0.5 * omega * t),
+                                   rtol=0, atol=1e-14)
+    empty = simulate_bath_fid(_two_site_couplings([3.0, 7.0], [0.5, 0.0]),
+                              "phi", t, n_samples=300, seed=2, occupancy=0.0)
+    assert np.all(empty.signal == 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(0.0, 1.0), kind=st.sampled_from(sorted(_WEIGHTS)),
+       seed=st.integers(0, 2 ** 128 - 1))
+def test_envelope_starts_at_one_and_stays_bounded(p, kind, seed):
+    couplings = _two_site_couplings([3.0, 0.0, 7.0, 1.5], [0.5, 2.0, 0.0, 4.0])
+    t = np.linspace(0.0, 3.0, 31) * 1e3
+    env = simulate_bath_fid(couplings, kind, t, n_samples=MIN_BATH_SAMPLES,
+                            seed=seed, occupancy=p)
+    assert env.signal[0] == 1.0
+    assert np.all(np.abs(env.signal) <= 1.0)
 
 
 def test_bath_envelope_within_standard_errors_of_exact_product():

@@ -311,6 +311,16 @@ def test_sequence_grammar_errors():
             parse_sequence(text + "\n")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_pulse_values_are_rejected(bad):
+    for field in ("angle_rad", "phase_rad", "duration_us"):
+        kwargs = {"angle_rad": math.pi, field: bad}
+        with pytest.raises(ValidationError, match=field):
+            Pulse("mw", 2, 4, **kwargs)
+    with pytest.raises(ValidationError, match="t_us"):
+        Wait(bad)
+
+
 def test_run_sequence_rejects_foreign_items():
     reg = make_bare()
     with pytest.raises(ValidationError):
