@@ -23,10 +23,10 @@ NV_AXIS = (1 / math.sqrt(3),) * 3
 SITE_DENSITY_A3 = 8.0 / LATTICE_A_ANGSTROM ** 3  # carbon atoms per cubic Angstrom
 MAX_SITES = 10_000_000
 # Bound on the tracemalloc peak of classify_shells(generate_lattice(R)) per
-# site; measured 54-55 B at R = 20-60 A (numpy 2.4), so the cap allows ~0.6 GB.
+# site; measured 54-55 B at R = 20-60 A (numpy 2.4), reached in
+# classify_shells (generate_lattice alone peaks at 42-50 B), so the cap
+# allows ~0.6 GB.
 BYTES_PER_SITE = 60
-
-_NITROGEN_Q = (1, 1, 1)
 
 # C3v operations about [111] as coordinate permutations: two rotations and
 # three mirrors, plus identity
@@ -112,28 +112,22 @@ def _squared_norms(quarter) -> np.ndarray:
     return np.einsum("ij,ij->i", quarter, quarter)
 
 
-def _fcc_quarters(offset: int, qmax: float) -> np.ndarray:
-    """Quarter coordinates within qmax of the fcc sublattice through
-    (offset, offset, offset), offset 0 or 1: every coordinate has the parity
-    of offset and the coordinate sum is 3 * offset modulo 4."""
-    m = int(qmax)
-    v = np.arange(-m, m + 1, dtype=np.int32)
-    v = v[(v - offset) % 2 == 0]
-    sq = v * v
-    inside = sq[:, None, None] + sq[None, :, None] + sq[None, None, :] \
-        <= qmax * qmax
-    r = (v % 4).astype(np.int8)
-    inside &= (r[:, None, None] + r[None, :, None] + r[None, None, :]) % 4 \
-        == 3 * offset % 4
-    i, j, k = np.nonzero(inside)
-    return np.stack((v[i], v[j], v[k]), axis=1)
-
-
 def generate_lattice(radius_angstrom: float) -> Lattice:
     """All carbon sites within radius of the vacancy, vacancy and nitrogen
-    excluded, ordered by (distance, quarter coordinates); unclassified."""
-    if radius_angstrom <= 0:
-        raise ValidationError("radius must be positive")
+    excluded, ordered by (distance, quarter coordinates); unclassified.
+
+    Each fcc sublattice is a cube of quarter coordinates with the parity of
+    its offset (0 or 1), masked to d^2 <= qmax^2 and a coordinate sum of
+    3 * offset modulo 4, less its point (offset, offset, offset): the
+    vacancy or the nitrogen. Every inside point becomes one int64 key,
+    d^2 << 3b | (qx + m) << 2b | (qy + m) << b | (qz + m) with m = int(qmax)
+    and b = (2m).bit_length(); the keys are unique and sort in (d^2, qx, qy,
+    qz) order, so one sort orders the sites and shifts and masks decode
+    them. The nitrogen sublattice is the one with odd coordinates.
+    """
+    if not math.isfinite(radius_angstrom) or radius_angstrom <= 0:
+        raise ValidationError("radius must be a positive finite number, "
+                              f"got {radius_angstrom:g}")
     est = 4.0 / 3.0 * math.pi * radius_angstrom ** 3 * SITE_DENSITY_A3
     if est > MAX_SITES:
         raise ResourceLimitError(
@@ -143,16 +137,35 @@ def generate_lattice(radius_angstrom: float) -> Lattice:
             "classify)")
 
     qmax = radius_angstrom / (LATTICE_A_ANGSTROM / 4.0)
-    a, b = _fcc_quarters(0, qmax), _fcc_quarters(1, qmax)
-    quarter = np.concatenate((a, b))
-    sublattice = np.repeat(np.array([0, 1], dtype=np.int8), (len(a), len(b)))
-    del a, b
-    d2 = _squared_norms(quarter)
-    keep = (d2 > 0) & ~np.all(quarter == _NITROGEN_Q, axis=1)
-    quarter, sublattice, d2 = quarter[keep], sublattice[keep], d2[keep]
-    order = np.lexsort((quarter[:, 2], quarter[:, 1], quarter[:, 0], d2))
-    return Lattice(quarter[order], np.zeros(len(order), dtype=np.int32),
-                   sublattice[order])
+    m = int(qmax)
+    b = (2 * m).bit_length()
+    keys = []
+    for offset in (0, 1):
+        start = (m + offset) % 2  # v[0] + m, for v of the parity of offset
+        v = np.arange(start - m, m + 1, 2, dtype=np.int32)
+        sq = v * v
+        d2 = sq[:, None, None] + sq[None, :, None] + sq[None, None, :]
+        inside = d2 <= qmax * qmax
+        r = (v % 4).astype(np.int8)  # >= 0, so & 3 below is the sum mod 4
+        inside &= (r[:, None, None] + r[None, :, None] + r[None, None, :]) \
+            & 3 == 3 * offset % 4
+        if offset <= m:  # drop the vacancy (offset 0) or nitrogen (offset 1)
+            c = (m + offset) // 2  # v[c] == offset
+            inside[c, c, c] = False
+        key = d2[inside].astype(np.int64) << 3 * b
+        del d2
+        for shift, i in zip((2 * b, b, 0), np.nonzero(inside)):
+            key |= (2 * i + start) << shift  # v[i] + m
+        keys.append(key)
+    key = np.concatenate(keys)
+    del keys
+    key.sort()
+    mask = (1 << b) - 1
+    quarter = np.empty((len(key), 3), dtype=np.int32)
+    for col, shift in enumerate((2 * b, b, 0)):
+        quarter[:, col] = (key >> shift & mask) - m
+    sublattice = (quarter[:, 0] & 1).astype(np.int8)
+    return Lattice(quarter, np.zeros(len(key), dtype=np.int32), sublattice)
 
 
 def positions_of(sites) -> np.ndarray:
@@ -185,7 +198,8 @@ def classify_shells(sites, radius_angstrom=None) -> Lattice:
     shell = shell.astype(np.int32) + 1
     if np.any(classes == _SPLIT_D2):
         shell += d2 > _SPLIT_D2
-        shell += (d2 == _SPLIT_D2) & (q.sum(axis=1) == _SPLIT_POLAR_SUM)
+        rows = np.flatnonzero(d2 == _SPLIT_D2)
+        shell[rows] += q[rows].sum(axis=1) == _SPLIT_POLAR_SUM
     out = Lattice(q, shell, lat.sublattice)
 
     outer_d2 = int(classes[-1])

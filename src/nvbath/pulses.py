@@ -252,7 +252,8 @@ class RegisterState:
         return float(np.real(self.rho[k, k]))
 
     def populations(self) -> dict:
-        return {lab: float(np.real(self.rho[k, k]))
+        # + 0.0 turns an exact -0.0 diagonal into +0.0
+        return {lab: float(np.real(self.rho[k, k])) + 0.0
                 for k, lab in enumerate(self.register.labels)}
 
     def fidelity(self, target_vector) -> float:

@@ -10,6 +10,7 @@ the default symmetry axis is [111].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
@@ -99,6 +100,9 @@ class ZeemanField:
     direction: tuple = (1 / np.sqrt(3), 1 / np.sqrt(3), 1 / np.sqrt(3))
 
     def __post_init__(self):
+        if not math.isfinite(self.gauss):
+            raise ValidationError(
+                f"field gauss must be finite, got {self.gauss:g}")
         if self.gauss < 0:
             raise ValidationError("field magnitude must be >= 0 Gauss")
         object.__setattr__(

@@ -11,7 +11,8 @@ from lattice_reference import reference_sites
 from nvbath.cli import _row_format, main, read_decay_csv
 from nvbath.decoherence import fid_model
 from nvbath.errors import ValidationError
-from nvbath.pulses import Register, bell_sequence, format_sequence
+from nvbath.pulses import (Register, RegisterState, bell_sequence,
+                           format_sequence)
 from nvbath.spinsys import (
     SpinSystemSpec,
     ZeemanField,
@@ -310,6 +311,16 @@ def test_row_format_matches_format_spec():
     assert _row_format(tuple(map(type, row))) % row == "2.5,4,11,-1"
 
 
+def test_negative_zero_population_prints_zero():
+    reg = cli_register()
+    rho = np.zeros((reg.dim, reg.dim), dtype=complex)
+    rho[0, 0] = 1.0
+    rho[1, 1] = complex(-0.0, 0.0)
+    pops = RegisterState(reg, rho).populations()
+    cells = [_row_format((type(p),)) % (p,) for p in pops.values()]
+    assert cells[:2] == ["1", "0"] and "-0" not in cells
+
+
 def test_pulse_bell_and_endor(tmp_path, capsys):
     base = ["pulse", "--field", "83", "--first-shell", "0",
             "--third-shell", "1", "--out-dir", str(tmp_path)]
@@ -333,9 +344,13 @@ def test_pulse_bell_and_endor(tmp_path, capsys):
     (["spectrum"], {"field_direction": ["a", 1, 1]}, "field_direction[0]"),
     (["linewidth"], {"concentrations": 0.1}, "concentrations"),
     (["linewidth"], {"concentrations": ["a"]}, "concentrations[0]"),
+    (["bath", "--radius", "nan"], None, "radius"),
+    (["linewidth", "--from-lattice", "nan"], None, "radius"),
+    (["spectrum", "--field", "nan", "--first-shell", "0"], None, "gauss"),
 ], ids=["rabi-points", "bell-points", "linewidth-n_min", "spectrum-field",
         "spectrum-window-list", "spectrum-direction-list",
-        "linewidth-concentrations-scalar", "linewidth-concentrations-list"])
+        "linewidth-concentrations-scalar", "linewidth-concentrations-list",
+        "bath-radius-nan", "linewidth-from-lattice-nan", "spectrum-field-nan"])
 def test_malformed_numbers_exit_two(tmp_path, capsys, argv, config, key):
     if argv[0] == "pulse":
         argv = argv + ["--field", "83", "--first-shell", "0",

@@ -85,14 +85,50 @@ def test_lattice_sequence_views():
         lat.shell[0] = 7  # classify_shells shares arrays between lattices
 
 
+def _closed_form_site_count(radius):
+    """Carbon sites within radius, counted per (qx, qy) column: the z
+    coordinates allowed by d^2 <= floor(qmax^2) form one residue class
+    mod 4 in [-zmax, zmax]. Vacancy and nitrogen are subtracted."""
+    qmax = radius / (LATTICE_A_ANGSTROM / 4.0)
+    q2, m = math.floor(qmax * qmax), int(qmax)
+    count = 0
+    for x in range(-m, m + 1):
+        for y in range(-m, m + 1):
+            rest = q2 - x * x - y * y
+            if (x - y) % 2 or rest < 0:
+                continue
+            zmax = math.isqrt(rest)
+            c = (3 * (x % 2) - x - y) % 4
+            count += (zmax - c) // 4 - (-zmax - 1 - c) // 4
+    return count - 1 - (q2 >= 3)
+
+
+@pytest.mark.parametrize("radius", [13.3, 14.4, 28.4, 28.6, 56.9, 57.2])
+def test_packed_key_order_at_key_width_steps(radius):
+    # qmax = radius / (a/4) lies just under and over 16, 32 and 64, where
+    # the coordinate field of the packed sort key gains a bit
+    lat = generate_lattice(radius)
+    q = lat.quarter.astype(np.int64)
+    d2 = (q * q).sum(axis=1)
+    order = np.lexsort((q[:, 2], q[:, 1], q[:, 0], d2))
+    np.testing.assert_array_equal(order, np.arange(len(lat)))
+    assert np.all(np.any(np.diff(q, axis=0) != 0, axis=1))  # no duplicates
+    assert len(lat) == _closed_form_site_count(radius)
+    np.testing.assert_array_equal(lat.sublattice, lat.quarter[:, 0] & 1)
+    assert lat.sublattice.dtype == np.int8 and lat.quarter.dtype == np.int32
+    assert not np.any(d2 == 0)
+    assert not np.any(np.all(lat.quarter == (1, 1, 1), axis=1))
+
+
 def test_peak_memory_per_site_within_bound():
-    tracemalloc.start()
-    try:
-        sites = classify_shells(generate_lattice(20.0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= BYTES_PER_SITE * len(sites)
+    for radius in (20.0, 40.0):
+        tracemalloc.start()
+        try:
+            sites = classify_shells(generate_lattice(radius))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= BYTES_PER_SITE * len(sites), radius
 
 
 def test_radius_2_gives_exactly_first_shell():
@@ -157,8 +193,9 @@ def test_site_count_tracks_density():
 def test_radius_cap():
     with pytest.raises(ResourceLimitError, match=r"cap 1e\+07 sites, ~0\.6 GB"):
         generate_lattice(10_000.0)
-    with pytest.raises(ValidationError):
-        generate_lattice(-1.0)
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            generate_lattice(bad)
 
 
 def test_coupling_decreases_on_axis():

@@ -214,6 +214,14 @@ def test_synth_spectrum_area_matches_line_sum():
     assert spectrum.intensity.min() >= 0.0
 
 
+@pytest.mark.parametrize("gauss", [math.nan, math.inf, -math.inf])
+def test_field_rejects_non_finite_magnitude(gauss):
+    with pytest.raises(ValidationError, match="gauss must be finite"):
+        ZeemanField(gauss)
+    with pytest.raises(ValidationError, match="gauss must be finite"):
+        ZeemanField.along((0.0, 0.0, 1.0), gauss)
+
+
 def test_max_nuclei_enforced():
     with pytest.raises(ValidationError):
         SpinSystemSpec(field=FIELD_83,
