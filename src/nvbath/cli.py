@@ -34,9 +34,8 @@ from .pulses import (BELL_VARIANTS, Register, bell_dephasing_fidelity,
                      bell_prepare_and_fidelity, endor_transfer,
                      parse_sequence, rabi_simulate, run_sequence)
 from .spinsys import (HyperfineTensor, SpinSystemSpec, ZeemanField,
-                      ZfsParams, build_hamiltonian, diagonalize,
-                      esr_transitions, first_shell_tensor, synth_spectrum,
-                      third_shell_tensor)
+                      ZfsParams, esr_transitions, first_shell_tensor,
+                      synth_spectrum, third_shell_tensor)
 from . import svgplot
 
 EXIT_OK = 0
@@ -63,29 +62,20 @@ def _load_config(path):
     return cfg
 
 
-def _effective(defaults: dict, config: dict, overrides: dict,
-               command: str) -> dict:
+def _effective(args, defaults: dict, overrides: dict):
+    """(config, output) of a command: the defaults updated by the --config
+    file and then by the flags that were given, and the _Output that records
+    that config's digest."""
+    config = _load_config(args.config)
     unknown = sorted(set(config) - set(defaults))
     if unknown:
         raise ValidationError(
-            f"unknown config keys for {command}: {', '.join(unknown)}")
-    out = dict(defaults)
-    out.update(config)
-    out.update({k: v for k, v in overrides.items() if v is not None})
-    out["command"] = command
-    return out
-
-
-def _config_digest(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"),
-                      default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-def _out_dir(args) -> str:
-    d = args.out_dir or os.environ.get("NVBATH_OUT_DIR") or "."
-    os.makedirs(d, exist_ok=True)
-    return d
+            f"unknown config keys for {args.command}: {', '.join(unknown)}")
+    cfg = dict(defaults)
+    cfg.update(config)
+    cfg.update({k: v for k, v in overrides.items() if v is not None})
+    cfg["command"] = args.command
+    return cfg, _Output(args, cfg)
 
 
 @functools.cache
@@ -97,18 +87,36 @@ def _row_format(types) -> str:
                     else "%s" for t in types)
 
 
-def _write_csv(path, columns, rows, digest, seed, extra_comments=()):
-    lines = [f"# tool: nvbath {__version__}",
-             f"# config: {digest}",
-             f"# seed: {seed}"]
-    lines.extend(f"# {c}" for c in extra_comments)
-    lines.append(",".join(columns))
-    for row in rows:
-        row = tuple(row)
-        lines.append(_row_format(tuple(map(type, row))) % row)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+class _Output:
+    """The files of one command run. Each goes into the output directory
+    (--out-dir, else NVBATH_OUT_DIR, else '.') and is announced on stdout as
+    'wrote <path>'; each CSV starts with the tool version, the 12-hex digest
+    of the effective config and the seed."""
+
+    def __init__(self, args, cfg: dict):
+        blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"),
+                          default=str)
+        digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
+        self.head = [f"# tool: nvbath {__version__}", f"# config: {digest}",
+                     f"# seed: {args.seed}"]
+        self.dir = args.out_dir or os.environ.get("NVBATH_OUT_DIR") or "."
+
+    def _write(self, name: str, text: str):
+        os.makedirs(self.dir, exist_ok=True)
+        path = os.path.join(self.dir, name)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
+
+    def csv(self, name, columns, rows, comments=()):
+        lines = self.head + [f"# {c}" for c in comments] + [",".join(columns)]
+        for row in rows:
+            row = tuple(row)
+            lines.append(_row_format(tuple(map(type, row))) % row)
+        self._write(name, "\n".join(lines) + "\n")
+
+    def svg(self, name, series, **kwargs):
+        self._write(name, svgplot.render_plot(series, **kwargs))
 
 
 def _number(value, name: str, kind=float):
@@ -272,18 +280,15 @@ def cmd_spectrum(args) -> int:
                      if args.grid else None),
         "fwhm_mhz": args.fwhm,
     }
-    cfg = _effective(_SPECTRUM_DEFAULTS, _load_config(args.config),
-                     overrides, "spectrum")
-    digest = _config_digest(cfg)
+    cfg, out = _effective(args, _SPECTRUM_DEFAULTS, overrides)
     window = cfg["window_mhz"]
     if window is not None:
         window = _numbers(window, "window_mhz")
         if len(window) != 2:
             raise ValidationError("window needs exactly two values: lo,hi")
     spec = _system_from_config(cfg)
-    eig = diagonalize(build_hamiltonian(spec))
     floor = _number(cfg["intensity_floor"], "intensity_floor")
-    lines = esr_transitions(spec, window=window, floor=floor, eig=eig)
+    lines = esr_transitions(spec, window=window, floor=floor)
     if not lines:
         raise ValidationError("no transitions in the requested window")
     fwhm = _number(cfg["fwhm_mhz"], "fwhm_mhz")
@@ -296,29 +301,17 @@ def cmd_spectrum(args) -> int:
         raise ValidationError("grid needs exactly three values: "
                               "start,stop,step")
     spectrum = synth_spectrum(lines, grid, fwhm)
-
-    out = _out_dir(args)
-    lines_path = _write_csv(
-        os.path.join(out, "spectrum_lines.csv"),
-        ("freq_mhz", "intensity", "i", "j"),
-        [(l.freq_mhz, l.intensity, l.i, l.j) for l in lines],
-        digest, args.seed)
-    spec_path = _write_csv(
-        os.path.join(out, "spectrum.csv"),
-        ("frequency_mhz", "intensity"),
-        zip(spectrum.freq_mhz, spectrum.intensity),
-        digest, args.seed)
     print(f"{len(lines)} lines; strongest "
           f"{max(lines, key=lambda l: l.intensity).freq_mhz:.4f} MHz")
-    print(f"wrote {lines_path}")
-    print(f"wrote {spec_path}")
+    out.csv("spectrum_lines.csv", ("freq_mhz", "intensity", "i", "j"),
+            [(l.freq_mhz, l.intensity, l.i, l.j) for l in lines])
+    out.csv("spectrum.csv", ("frequency_mhz", "intensity"),
+            zip(spectrum.freq_mhz, spectrum.intensity))
     if args.plot:
-        svg = svgplot.write_plot(
-            os.path.join(out, "spectrum.svg"),
-            [{"x": spectrum.freq_mhz, "y": spectrum.intensity}],
-            xlabel="frequency (MHz)", ylabel="intensity",
-            title="ESR spectrum")
-        print(f"wrote {svg}")
+        out.svg("spectrum.svg",
+                [{"x": spectrum.freq_mhz, "y": spectrum.intensity}],
+                xlabel="frequency (MHz)", ylabel="intensity",
+                title="ESR spectrum")
     return EXIT_OK
 
 
@@ -343,9 +336,7 @@ def cmd_linewidth(args) -> int:
         "regime": args.regime,
         "lattice_radius_angstrom": args.from_lattice,
     }
-    cfg = _effective(_LINEWIDTH_DEFAULTS, _load_config(args.config),
-                     overrides, "linewidth")
-    digest = _config_digest(cfg)
+    cfg, out = _effective(args, _LINEWIDTH_DEFAULTS, overrides)
     if cfg["concentrations"] is not None:
         n_values = np.asarray(_numbers(cfg["concentrations"],
                                        "concentrations"))
@@ -367,14 +358,11 @@ def cmd_linewidth(args) -> int:
         print(f"lattice coefficient {coeff:.4e} cm^-6 "
               f"(reference {DIPOLAR_COEFF_CM6:.4e})")
     points = linewidth_curve(n_values, regime=cfg["regime"], coeff_cm6=coeff)
-    out = _out_dir(args)
-    path = _write_csv(
-        os.path.join(out, "linewidth.csv"),
-        ("n", "w_contact_mhz", "w_dipolar_mhz", "w_total_mhz", "t2star_us"),
-        [(p.n, p.w_contact_mhz, p.w_dipolar_mhz, p.w_total_mhz, p.t2star_us)
-         for p in points],
-        digest, args.seed)
-    print(f"wrote {path}")
+    out.csv("linewidth.csv",
+            ("n", "w_contact_mhz", "w_dipolar_mhz", "w_total_mhz",
+             "t2star_us"),
+            [(p.n, p.w_contact_mhz, p.w_dipolar_mhz, p.w_total_mhz,
+              p.t2star_us) for p in points])
     if args.plot:
         series = [{"x": n_values, "y": [p.w_contact_mhz for p in points],
                    "label": "contact"},
@@ -385,11 +373,9 @@ def cmd_linewidth(args) -> int:
             series.append({"x": [p[0] for p in pts],
                            "y": [p[1] for p in pts],
                            "label": "measured", "points": True})
-        svg = svgplot.write_plot(
-            os.path.join(out, "linewidth.svg"), series,
-            xlabel="13C fraction", ylabel="FWHM (MHz)",
-            title="inhomogeneous linewidth", logx=True, logy=True)
-        print(f"wrote {svg}")
+        out.svg("linewidth.svg", series, xlabel="13C fraction",
+                ylabel="FWHM (MHz)", title="inhomogeneous linewidth",
+                logx=True, logy=True)
     return EXIT_OK
 
 
@@ -397,39 +383,31 @@ def cmd_linewidth(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg = _effective({"model": "fid"}, _load_config(args.config),
-                     {"model": args.model}, "fit")
-    digest = _config_digest(cfg)
+    cfg, out = _effective(args, {"model": "fid"}, {"model": args.model})
     model = cfg["model"]
     if model not in MODELS:
         raise ValidationError(f"model must be one of {sorted(MODELS)}")
     curve = read_decay_csv(args.input)
     fit = fit_decay(curve, model=model)
-    out = _out_dir(args)
     rows = [(name, fit.params[name], fit.sigmas[name])
             for name in MODELS[model]["names"]]
-    path = _write_csv(os.path.join(out, f"fit_{model}.csv"),
-                      ("param", "value", "sigma"), rows, digest, args.seed,
-                      extra_comments=(f"model: {model}",
-                                      f"residual_norm: "
-                                      f"{math.sqrt(fit.ssr):.10g}"))
     print(f"model: {model}")
     for name, value, sigma in rows:
         print(f"{name} = {value:.6g} +- {sigma:.3g}")
     print(f"residual norm = {math.sqrt(fit.ssr):.6g} "
           f"after {fit.n_iter} iterations")
-    print(f"wrote {path}")
+    out.csv(f"fit_{model}.csv", ("param", "value", "sigma"), rows,
+            comments=(f"model: {model}",
+                      f"residual_norm: {math.sqrt(fit.ssr):.10g}"))
     if args.plot:
         tt = np.linspace(float(curve.t_us[0]), float(curve.t_us[-1]), 400)
         yy = MODELS[model]["fn"](tt, [fit.params[n]
                                       for n in MODELS[model]["names"]])
-        svg = svgplot.write_plot(
-            os.path.join(out, f"fit_{model}.svg"),
-            [{"x": curve.t_us, "y": curve.signal, "label": "data",
-              "points": True},
-             {"x": tt, "y": yy, "label": model}],
-            xlabel="t (us)", ylabel="signal", title=f"{model} fit")
-        print(f"wrote {svg}")
+        out.svg(f"fit_{model}.svg",
+                [{"x": curve.t_us, "y": curve.signal, "label": "data",
+                  "points": True},
+                 {"x": tt, "y": yy, "label": model}],
+                xlabel="t (us)", ylabel="signal", title=f"{model} fit")
     return EXIT_OK
 
 
@@ -446,20 +424,11 @@ def cmd_bath(args) -> int:
         "radius_angstrom": args.radius,
         "concentration": args.concentration,
     }
-    cfg = _effective(_BATH_DEFAULTS, _load_config(args.config), overrides,
-                     "bath")
-    digest = _config_digest(cfg)
+    cfg, out = _effective(args, _BATH_DEFAULTS, overrides)
     radius = _number(cfg["radius_angstrom"], "radius_angstrom")
     n = _number(cfg["concentration"], "concentration")
     sites = classify_shells(generate_lattice(radius), radius_angstrom=radius)
     sample = sample_bath(sites, n, args.seed)
-    out = _out_dir(args)
-    rows = [(x, y, z, shell) for (x, y, z), shell in
-            zip(sample.positions.tolist(),
-                sites.shell[sample.site_indices].tolist())]
-    path = _write_csv(os.path.join(out, "bath_sites.csv"),
-                      ("x_angstrom", "y_angstrom", "z_angstrom", "shell"),
-                      rows, digest, args.seed)
     summary = shell_summary(sites)
     inner = ", ".join(f"shell {s}: {mult} @ {dist:.3f} A" for s, (mult, dist)
                       in sorted(summary.items())[:4])
@@ -474,7 +443,11 @@ def cmd_bath(args) -> int:
               f"{DIPOLAR_COEFF_CM6:.3e}")
     except ValidationError as exc:
         print(f"second-moment coefficient skipped: {exc}")
-    print(f"wrote {path}")
+    out.csv("bath_sites.csv",
+            ("x_angstrom", "y_angstrom", "z_angstrom", "shell"),
+            [(x, y, z, shell) for (x, y, z), shell in
+             zip(sample.positions.tolist(),
+                 sites.shell[sample.site_indices].tolist())])
     return EXIT_OK
 
 
@@ -506,11 +479,8 @@ def cmd_pulse(args) -> int:
         "field_gauss": args.field,
         "nuclei": _nuclei_from_flags(args),
     }
-    cfg = _effective(_SYSTEM_DEFAULTS, _load_config(args.config), overrides,
-                     "pulse")
-    digest = _config_digest(cfg)
+    cfg, out = _effective(args, _SYSTEM_DEFAULTS, overrides)
     register = Register(_system_from_config(cfg))
-    out = _out_dir(args)
 
     modes = [m for m in ("sequence", "rabi", "bell", "endor")
              if getattr(args, m) is not None]
@@ -529,13 +499,10 @@ def cmd_pulse(args) -> int:
         state = run_sequence(_parse_init(register, args.init), items)
         rows = [(ms, "".join(str(b) for b in bits) or "-", pop)
                 for (ms, bits), pop in state.populations().items()]
-        path = _write_csv(os.path.join(out, "populations.csv"),
-                          ("ms", "bits", "population"), rows, digest,
-                          args.seed)
         for ms, bits, pop in rows:
             if pop > 1e-9:
                 print(f"ms={ms:+d} bits={bits} population={pop:.6f}")
-        print(f"wrote {path}")
+        out.csv("populations.csv", ("ms", "bits", "population"), rows)
         return EXIT_OK
 
     if mode == "rabi":
@@ -548,37 +515,29 @@ def cmd_pulse(args) -> int:
         t = np.linspace(0.0, args.t_max, args.points)
         curve, omega = rabi_simulate(register, channel.lower(), i, j, t,
                                      power=args.power)
-        path = _write_csv(os.path.join(out, "rabi.csv"),
-                          ("t_us", "population"), zip(t, curve.signal), digest,
-                          args.seed)
         print(f"Rabi frequency {omega:.6g} MHz at power {args.power:g}")
-        print(f"wrote {path}")
+        out.csv("rabi.csv", ("t_us", "population"), zip(t, curve.signal))
         if args.plot:
-            svg = svgplot.write_plot(
-                os.path.join(out, "rabi.svg"),
-                [{"x": t, "y": curve.signal}], xlabel="t (us)",
-                ylabel="transfer probability", title="Rabi oscillation")
-            print(f"wrote {svg}")
+            out.svg("rabi.svg", [{"x": t, "y": curve.signal}],
+                    xlabel="t (us)", ylabel="transfer probability",
+                    title="Rabi oscillation")
         return EXIT_OK
 
     if mode == "bell":
         variant = args.bell
-        if variant not in BELL_VARIANTS:
-            raise ValidationError(
-                f"--bell takes one of {', '.join(BELL_VARIANTS)}")
-        _, fid, p00 = bell_prepare_and_fidelity(register, variant)
-        print(f"{variant}: preparation fidelity {fid:.9f}, "
-              f"round-trip detection {p00:.9f}")
-        if args.detune:
+        rows = None
+        if args.detune:  # checked and computed before any state is built
             d = _parse_floats(args.detune, "--detune")
             if len(d) != 2:
                 raise ValidationError("--detune takes two values: d1,d2 MHz")
             t = np.linspace(0.0, args.t_max, args.points)
-            f = bell_dephasing_fidelity(register, variant, t, d[0], d[1])
-            path = _write_csv(os.path.join(out, "bell_dephasing.csv"),
-                              ("t_us", "fidelity"), zip(t, f), digest,
-                              args.seed)
-            print(f"wrote {path}")
+            rows = zip(t, bell_dephasing_fidelity(register, variant, t,
+                                                  d[0], d[1]))
+        _, fid, p00 = bell_prepare_and_fidelity(register, variant)
+        print(f"{variant}: preparation fidelity {fid:.9f}, "
+              f"round-trip detection {p00:.9f}")
+        if rows is not None:
+            out.csv("bell_dephasing.csv", ("t_us", "fidelity"), rows)
         return EXIT_OK
 
     transfer = endor_transfer(register, nucleus=args.endor)
@@ -696,18 +655,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ResourceLimitError) as exc:
+    except (ValidationError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FitError as exc:
+    except (FitError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except np.linalg.LinAlgError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

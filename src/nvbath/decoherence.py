@@ -16,6 +16,7 @@ import numpy as np
 from . import _kernels
 from .constants import NN_DIPOLAR_KHZ_A3
 from .errors import FitError, FlatSignalError, ValidationError
+from .lattice import bath_stream
 
 # ----- decay curves and models ------------------------------------------
 
@@ -123,14 +124,12 @@ MODELS = {
         "fn": lambda t, p: fid_model(t, *p),
         "jac": _fid_jac,
         "guess": _fid_guess,
-        "positive": (0,),
     },
     "echo": {
         "names": ("t2_us", "amplitude", "offset"),
         "fn": lambda t, p: echo_model(t, *p),
         "jac": _echo_jac,
         "guess": _echo_guess,
-        "positive": (0,),
     },
 }
 
@@ -201,7 +200,7 @@ def fit_decay(curve: DecayCurve, model: str = "fid") -> DecayFit:
             break
         jtj = jac.T @ jac
         stepped = False
-        delta = np.zeros(npar)
+        rel_step = 0.0
         for _ in range(40):
             try:
                 delta = np.linalg.solve(
@@ -211,12 +210,12 @@ def fit_decay(curve: DecayCurve, model: str = "fid") -> DecayFit:
                 lam *= 10.0
                 continue
             cand = p + delta
-            bad = any(cand[i] <= 0 for i in spec["positive"])
-            if not bad:
+            rel_step = float(np.max(np.abs(delta)
+                                    / np.maximum(np.abs(p), 1.0)))
+            # parameter 0 of each model is its time scale, kept positive
+            if not cand[0] <= 0:
                 ssr_new, r_new = ssr_of(cand)
                 if ssr_new <= ssr:
-                    rel_step = float(np.max(np.abs(delta)
-                                            / np.maximum(np.abs(p), 1.0)))
                     rel_drop = (ssr - ssr_new) / max(ssr, 1e-300)
                     p, ssr, r = cand, ssr_new, r_new
                     lam = max(lam / 3.0, 1e-14)
@@ -228,8 +227,6 @@ def fit_decay(curve: DecayCurve, model: str = "fid") -> DecayFit:
         if not stepped:
             # damping saturated: the trust region shrank until the proposed
             # step was negligible, which is a step-size convergence
-            rel_step = float(np.max(np.abs(delta)
-                                    / np.maximum(np.abs(p), 1.0)))
             converged = rel_step <= math.sqrt(STEP_TOL)
             jac = w[:, None] * spec["jac"](t, p)
             gnorm = float(np.max(np.abs(jac.T @ r)))
@@ -291,11 +288,10 @@ def bell_t2star_from_sq(t_sq1_us: float, t_sq2_us: float,
     else:
         r_phi = math.hypot(r1, r2)
         r_psi = math.sqrt(abs(r1 * r1 - r2 * r2))
-    if r_psi == 0.0:
-        return BellT2Result(t_phi_us=1.0 / r_phi, t_psi_us=None,
-                            psi_unbounded=True, combine=combine)
-    return BellT2Result(t_phi_us=1.0 / r_phi, t_psi_us=1.0 / r_psi,
-                        psi_unbounded=False, combine=combine)
+    unbounded = r_psi == 0.0
+    return BellT2Result(t_phi_us=1.0 / r_phi,
+                        t_psi_us=None if unbounded else 1.0 / r_psi,
+                        psi_unbounded=unbounded, combine=combine)
 
 
 def bell_t2star_intervals(sq1, sq2, combine: str = "linear"):
@@ -453,9 +449,6 @@ def simulate_bath_fid(couplings: PairCouplings, kind: str, t_us,
         raise ValidationError("time grid must be increasing and nonnegative")
     if occupancy is not None and not 0.0 <= occupancy <= 1.0:
         raise ValidationError("occupancy must lie in [0, 1]")
-    seed = int(seed)
-    if not 0 <= seed < 2 ** 128:
-        raise ValidationError("seed must lie in [0, 2**128)")
     p = 1.0 if occupancy is None else float(occupancy)
     w1, w2 = COHERENCE_WEIGHTS[kind]
     c1, c2 = couplings.c1_khz, couplings.c2_khz
@@ -465,7 +458,7 @@ def simulate_bath_fid(couplings: PairCouplings, kind: str, t_us,
     if not np.all(np.isfinite(omega)):
         raise ValidationError("couplings must be finite")
 
-    gen = np.random.Generator(np.random.Philox(key=seed))
+    gen = bath_stream(seed)  # checks the seed last, then opens the stream
     total = np.zeros(len(t))
     for start in range(0, n_samples, BATH_CHUNK_SAMPLES):
         m = min(BATH_CHUNK_SAMPLES, n_samples - start)
@@ -542,18 +535,17 @@ def fit_t2_scaling(n_values, t2_values, space: str = "log") -> ScalingModel:
         raise ValidationError("need >= 2 (n, T2) pairs of equal length")
     if np.any(n <= 0) or np.any(t2 <= 0):
         raise ValidationError("concentrations and T2 must be positive")
+    dof = max(len(n) - 1, 1)
     if space == "log":
         logc = np.log(t2) + np.log(n)
         c = float(np.exp(np.mean(logc)))
         resid = logc - np.mean(logc)
-        dof = max(len(n) - 1, 1)
         sigma_logc = math.sqrt(float(resid @ resid) / dof / len(n))
         sigma_c = c * sigma_logc
     elif space == "linear":
         x = 1.0 / n
         c = float((t2 @ x) / (x @ x))
         resid = t2 - c * x
-        dof = max(len(n) - 1, 1)
         sigma_c = math.sqrt(float(resid @ resid) / dof / float(x @ x))
     else:
         raise ValidationError("space must be 'log' or 'linear'")

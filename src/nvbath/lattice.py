@@ -228,12 +228,17 @@ def shell_summary(sites) -> dict:
             if shell != 0}
 
 
+def check_concentration(n: float):
+    """Raise ValidationError unless the 13C fraction n lies in [0, 1]."""
+    if not 0.0 <= n <= 1.0:
+        raise ValidationError("concentration must lie in [0, 1]")
+
+
 def shell_occupancy_probability(multiplicity: int, n: float, k: int = None):
     """Binomial occupation statistics of a shell with the given multiplicity
     at 13C fraction n: P(k occupied) when k is given, else the probability
     of at least one occupied site."""
-    if not 0.0 <= n <= 1.0:
-        raise ValidationError("concentration must lie in [0, 1]")
+    check_concentration(n)
     if multiplicity < 0:
         raise ValidationError("multiplicity must be >= 0")
     if k is None:
@@ -273,19 +278,26 @@ def electron_coupling_khz(positions):
     return EN_DIPOLAR_KHZ_A3 / r ** 3
 
 
+def bath_stream(seed) -> np.random.Generator:
+    """The counter-based Philox generator keyed by seed, an integer in
+    [0, 2**128): the one random stream of every bath draw, reproducible
+    bit-identically across platforms."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 128):
+        raise ValidationError(
+            f"seed must be an integer in [0, 2**128), got {seed!r}")
+    return np.random.Generator(np.random.Philox(key=int(seed)))
+
+
 def sample_bath(sites, n: float, seed: int) -> BathSample:
     """Occupy each site independently with probability n.
 
-    Draws come from a counter-based Philox stream keyed by the seed, so site
-    i always sees the same uniform variate for a given seed regardless of
-    how many sites are sampled: reproducible bit-identically across
-    platforms and trivially parallelizable.
+    Draws come from bath_stream(seed), so site i always sees the same
+    uniform variate for a given seed regardless of how many sites are
+    sampled.
     """
-    if not 0.0 <= n <= 1.0:
-        raise ValidationError("concentration must lie in [0, 1]")
+    check_concentration(n)
     lat = as_lattice(sites)
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    u = gen.random(len(lat))
+    u = bath_stream(seed).random(len(lat))
     idx = np.flatnonzero(u < n)
     pos = positions_of(lat[idx])
     return BathSample(seed=int(seed), concentration=float(n),

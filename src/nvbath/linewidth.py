@@ -23,7 +23,8 @@ from . import _kernels
 from .constants import (DIPOLAR_PREFACTOR_CM3_HZ, THIRD_SHELL_A_MHZ,
                         THIRD_SHELL_MULTIPLICITY)
 from .errors import InsufficientSitesError, ValidationError
-from .lattice import NV_AXIS, as_lattice, classify_shells, positions_of
+from .lattice import (NV_AXIS, as_lattice, check_concentration,
+                      classify_shells, positions_of)
 
 # Reference lattice coefficient for the dipolar model (cm^-6 per unit
 # concentration); dipolar_second_moment_sum reproduces it from the lattice.
@@ -56,8 +57,7 @@ class ContactSiteSet:
 
 def contact_linewidth(n: float, sites: ContactSiteSet = None) -> float:
     """Contact-model FWHM in MHz at 13C fraction n."""
-    if not 0.0 <= n <= 1.0:
-        raise ValidationError("concentration must lie in [0, 1]")
+    check_concentration(n)
     if sites is None:
         sites = ContactSiteSet()
     second_moment = n * sum(m * (a / 2.0) ** 2 for a, m in sites.entries)
@@ -67,8 +67,7 @@ def contact_linewidth(n: float, sites: ContactSiteSet = None) -> float:
 def dipolar_linewidth_closed_form(
         n: float, coeff_cm6: float = DIPOLAR_COEFF_CM6) -> float:
     """Dipolar-model FWHM in Hz at 13C fraction n (closed form)."""
-    if not 0.0 <= n <= 1.0:
-        raise ValidationError("concentration must lie in [0, 1]")
+    check_concentration(n)
     return DIPOLAR_PREFACTOR_CM3_HZ * math.sqrt(coeff_cm6 * n)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,14 +46,11 @@ KAPPA_RF_PER_MHZ = 1e-3
 
 
 def _spinor_along(u):
-    """+1/2 and -1/2 spin-1/2 eigenvectors along the unit vector u."""
+    """+1/2 spin-1/2 eigenvector along the unit vector u."""
     theta = math.acos(max(-1.0, min(1.0, float(u[2]))))
     phi = math.atan2(float(u[1]), float(u[0]))
-    up = np.array([math.cos(theta / 2.0),
-                   math.sin(theta / 2.0) * np.exp(1j * phi)], dtype=complex)
-    dn = np.array([-math.sin(theta / 2.0) * np.exp(-1j * phi),
-                   math.cos(theta / 2.0)], dtype=complex)
-    return up, dn
+    return np.array([math.cos(theta / 2.0),
+                     math.sin(theta / 2.0) * np.exp(1j * phi)], dtype=complex)
 
 
 def _orient(u, preferred):
@@ -132,7 +129,7 @@ class Register:
                 norm = np.linalg.norm(p)
                 u = p / norm if norm > 1e-12 else axis.copy()
                 u = _orient(u, (bdir, axis, np.array([0.0, 0.0, 1.0])))
-                up = _spinor_along(u)[0]
+                up = _spinor_along(u)
                 if abs(up.conj() @ c[1]) ** 2 > abs(up.conj() @ c[0]) ** 2:
                     c = [c[1], c[0]]
                 by_ms[ms] = (c[0], c[1])
@@ -507,6 +504,9 @@ def endor_sequence(register: Register, nucleus: int = 0, ms: int = -1):
     """pi(MW) - pi(RF) - pi(MW): map the electron down, flip one nucleus,
     map the electron back."""
     n = register.n_nuclei
+    if not 0 <= nucleus < n:
+        raise ValidationError(
+            f"nucleus {nucleus} is out of range for a register of {n} nuclei")
     zeros = (0,) * n
     flipped = tuple(1 if q == nucleus else 0 for q in range(n))
     a0 = register.level(0, zeros)
@@ -521,11 +521,10 @@ def endor_sequence(register: Register, nucleus: int = 0, ms: int = -1):
 def endor_transfer(register: Register, nucleus: int = 0, ms: int = -1) -> float:
     """Population arriving in the nuclear-flipped level after the ENDOR
     sequence from an ideal |0, 0...0> start (1.0 for ideal pulses)."""
-    n = register.n_nuclei
-    state = register.pure_state(0, (0,) * n)
-    state = run_sequence(state, endor_sequence(register, nucleus, ms))
-    flipped = tuple(1 if q == nucleus else 0 for q in range(n))
-    return state.population(0, flipped)
+    items = endor_sequence(register, nucleus, ms)
+    state = register.pure_state(0, (0,) * register.n_nuclei)
+    k = items[-1].j  # the level (0, flipped) of the last MW pulse
+    return float(np.real(run_sequence(state, items).rho[k, k]))
 
 
 def hahn_echo_sequence(register: Register, i: int, j: int, tau_us: float,
@@ -537,61 +536,64 @@ def hahn_echo_sequence(register: Register, i: int, j: int, tau_us: float,
             Pulse(channel, i, j, half)]
 
 
-BELL_VARIANTS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
 BELL_MS = -1  # electron manifold that holds the Bell states
+
+
+# variant: ((bits a, bits b), sign, phase, control) of the Bell state
+# (|a> + sign |b>) / sqrt 2 in the BELL_MS manifold; phase is that of the
+# first pulse, control the state of qubit 0 that conditions the second
+_BELL = {
+    "phi_plus": (((0, 0), (1, 1)), 1.0, math.pi, 1),
+    "phi_minus": (((0, 0), (1, 1)), -1.0, 0.0, 1),
+    "psi_plus": (((0, 1), (1, 0)), 1.0, 0.0, 0),
+    "psi_minus": (((0, 1), (1, 0)), -1.0, math.pi, 0),
+}
+BELL_VARIANTS = tuple(_BELL)
+
+
+def _bell_variant(register: Register, variant: str):
+    """The _BELL entry of variant, on a register of two nuclear qubits."""
+    if register.n_nuclei != 2:
+        raise ValidationError("Bell circuits need exactly 2 nuclear qubits")
+    if variant not in _BELL:
+        raise ValidationError(f"variant must be one of {BELL_VARIANTS}")
+    return _BELL[variant]
 
 
 def bell_sequence(register: Register, variant: str):
     """Two-pulse generation circuit of a Bell state of two nuclear qubits
     within the BELL_MS electron manifold, starting from |BELL_MS, 00>.
 
-    A pi/2 splits |00>/|10>, then a conditional pi maps the second qubit;
-    pulse phases select the variant sign.
+    A pi/2 splits |00>/|10>, then a pi on qubit 1, conditioned on qubit 0,
+    maps the second qubit; the first pulse's phase selects the variant sign.
     """
-    if register.n_nuclei != 2:
-        raise ValidationError("Bell circuits need exactly 2 nuclear qubits")
-    if variant not in BELL_VARIANTS:
-        raise ValidationError(f"variant must be one of {BELL_VARIANTS}")
-    l00 = register.level(BELL_MS, (0, 0))
-    l01 = register.level(BELL_MS, (0, 1))
-    l10 = register.level(BELL_MS, (1, 0))
-    l11 = register.level(BELL_MS, (1, 1))
-    half = math.pi / 2.0
-    phase1 = math.pi if variant in ("phi_plus", "psi_minus") else 0.0
-    if variant.startswith("phi"):
-        return [Pulse("rf", l00, l10, half, phase1),
-                Pulse("rf", l10, l11, math.pi, 0.0, control=(0, 1))]
-    return [Pulse("rf", l00, l10, half, phase1),
-            Pulse("rf", l00, l01, math.pi, 0.0, control=(0, 0))]
+    _, _, phase, c = _bell_variant(register, variant)
+    return [Pulse("rf", register.level(BELL_MS, (0, 0)),
+                  register.level(BELL_MS, (1, 0)), math.pi / 2.0, phase),
+            Pulse("rf", register.level(BELL_MS, (c, 0)),
+                  register.level(BELL_MS, (c, 1)), math.pi, 0.0,
+                  control=(0, c))]
 
 
 def bell_detect_sequence(register: Register, variant: str):
     """Inverse of the generation circuit (maps the Bell state back to |00>)."""
-    gen = bell_sequence(register, variant)
-    return [Pulse(p.channel, p.i, p.j, -p.angle_rad, p.phase_rad, None,
-                  p.control) for p in reversed(gen)]
+    return [replace(p, angle_rad=-p.angle_rad, duration_us=None)
+            for p in reversed(bell_sequence(register, variant))]
 
 
 def bell_target_vector(register: Register, variant: str):
+    (bits_a, bits_b), sign, _, _ = _bell_variant(register, variant)
     v = np.zeros(register.dim, dtype=complex)
-    if variant in ("phi_plus", "phi_minus"):
-        a, b = register.level(BELL_MS, (0, 0)), register.level(BELL_MS, (1, 1))
-        sign = 1.0 if variant == "phi_plus" else -1.0
-    elif variant in ("psi_plus", "psi_minus"):
-        a, b = register.level(BELL_MS, (0, 1)), register.level(BELL_MS, (1, 0))
-        sign = 1.0 if variant == "psi_plus" else -1.0
-    else:
-        raise ValidationError(f"variant must be one of {BELL_VARIANTS}")
-    v[a] = 1.0 / math.sqrt(2.0)
-    v[b] = sign / math.sqrt(2.0)
+    v[register.level(BELL_MS, bits_a)] = 1.0 / math.sqrt(2.0)
+    v[register.level(BELL_MS, bits_b)] = sign / math.sqrt(2.0)
     return v
 
 
 def bell_prepare_and_fidelity(register: Register, variant: str):
     """Run the generation circuit from |BELL_MS, 00>; returns (state,
     fidelity to the ideal Bell state, round-trip detection probability)."""
-    state = register.pure_state(BELL_MS, (0, 0))
-    state = run_sequence(state, bell_sequence(register, variant))
+    items = bell_sequence(register, variant)
+    state = run_sequence(register.pure_state(BELL_MS, (0, 0)), items)
     fid = state.fidelity(bell_target_vector(register, variant))
     back = run_sequence(state, bell_detect_sequence(register, variant))
     p00 = back.population(BELL_MS, (0, 0))
@@ -605,10 +607,13 @@ def bell_dephasing_fidelity(register: Register, variant: str, t_us,
     per-nucleus detunings: phi variants beat at the sum frequency, psi
     variants at the difference (stationary under common-mode detuning)."""
     t = np.asarray(t_us, dtype=float)
+    if not (np.all(np.isfinite(t)) and math.isfinite(detuning1_mhz)
+            and math.isfinite(detuning2_mhz)):
+        raise ValidationError("detunings and times must be finite")
+    pair = _bell_variant(register, variant)[0]
     target = bell_target_vector(register, variant)
     # detuning phases only; the deterministic eigenphases are removed the
     # way a rotating-frame readout removes them
-    pair = ((0, 0), (1, 1)) if variant.startswith("phi") else ((0, 1), (1, 0))
     l_a, l_b = (register.level(BELL_MS, bits) for bits in pair)
     # m = 1/2 - bit, so m_a - m_b = bits_b - bits_a
     dm = np.subtract(register.labels[l_b][1], register.labels[l_a][1])

@@ -41,10 +41,18 @@ IZH = np.diag([0.5, -0.5]).astype(complex)
 ID2 = np.eye(2, dtype=complex)
 
 
-def _unit(v, what):
+def _vector(v, what):
+    """v as a float 3-vector of finite components."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValidationError(f"{what} must be a 3-vector")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"{what} must be finite, got {v.tolist()}")
+    return v
+
+
+def _unit(v, what):
+    v = _vector(v, what)
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > 1e-9:
         raise ValidationError(
@@ -54,7 +62,7 @@ def _unit(v, what):
 
 
 def _normalized(v, what):
-    d = np.asarray(v, dtype=float)
+    d = _vector(v, what)
     n = np.linalg.norm(d)
     if n == 0:
         raise ValidationError(f"{what} must be nonzero")
@@ -289,8 +297,7 @@ def _transverse_axis(spec: SpinSystemSpec):
     return e1
 
 
-def esr_transitions(spec: SpinSystemSpec, window=None, floor=1e-4,
-                    eig: EigenSystem | None = None):
+def esr_transitions(spec: SpinSystemSpec, window=None, floor=1e-4):
     """Allowed ESR lines with intensities |<j|S_x'|i>|^2.
 
     S_x' is the electron spin operator along a deterministic direction
@@ -298,8 +305,7 @@ def esr_transitions(spec: SpinSystemSpec, window=None, floor=1e-4,
     Intensities are normalized to unit sum over the requested frequency
     window, then lines weaker than ``floor`` are dropped.
     """
-    if eig is None:
-        eig = diagonalize(build_hamiltonian(spec))
+    eig = diagonalize(build_hamiltonian(spec))
     if window is not None:
         lo, hi = float(window[0]), float(window[1])
         if not hi > lo:

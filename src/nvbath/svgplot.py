@@ -171,10 +171,3 @@ def render_plot(series, xlabel: str = "", ylabel: str = "", title: str = "",
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def write_plot(path, series, **kwargs):
-    text = render_plot(series, **kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return path

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lattice_reference import reference_sites
 from nvbath.cli import _row_format, main, read_decay_csv
@@ -347,10 +348,19 @@ def test_pulse_bell_and_endor(tmp_path, capsys):
     (["bath", "--radius", "nan"], None, "radius"),
     (["linewidth", "--from-lattice", "nan"], None, "radius"),
     (["spectrum", "--field", "nan", "--first-shell", "0"], None, "gauss"),
+    (["spectrum"], {"field_direction": [math.nan, 1, 1]}, "field direction"),
+    (["bath", "--radius", "6", "--seed", "-1"], None, "seed"),
+    (["bath", "--radius", "6", "--seed", str(2 ** 128)], None, "seed"),
+    (["pulse", "--endor", "5"], None, "nucleus 5"),
+    (["pulse", "--bell", "phi_plus", "--detune", "nan,0"], None, "finite"),
+    (["pulse", "--bell", "phi_plus", "--detune", "0.2,0.1", "--t-max", "nan"],
+     None, "finite"),
 ], ids=["rabi-points", "bell-points", "linewidth-n_min", "spectrum-field",
         "spectrum-window-list", "spectrum-direction-list",
         "linewidth-concentrations-scalar", "linewidth-concentrations-list",
-        "bath-radius-nan", "linewidth-from-lattice-nan", "spectrum-field-nan"])
+        "bath-radius-nan", "linewidth-from-lattice-nan", "spectrum-field-nan",
+        "spectrum-direction-nan", "bath-seed-negative", "bath-seed-2**128",
+        "endor-nucleus-range", "bell-detune-nan", "bell-t-max-nan"])
 def test_malformed_numbers_exit_two(tmp_path, capsys, argv, config, key):
     if argv[0] == "pulse":
         argv = argv + ["--field", "83", "--first-shell", "0",
@@ -362,6 +372,110 @@ def test_malformed_numbers_exit_two(tmp_path, capsys, argv, config, key):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_bell_needs_two_nuclei_before_any_state(tmp_path, capsys):
+    assert main(["pulse", "--first-shell", "0", "--bell", "phi_plus",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err \
+        == "error: Bell circuits need exactly 2 nuclear qubits\n"
+
+
+@pytest.mark.filterwarnings("ignore:outermost shell lies at the radius")
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.one_of(st.integers(-2, 2),
+                     st.integers(2 ** 128 - 2, 2 ** 128 + 1),
+                     st.integers(-2 ** 130, 2 ** 130)),
+       radius=st.floats(2.0, 6.0), n=st.floats(0.0, 1.0))
+def test_bath_exits_zero_or_two_for_any_seed(tmp_path, capsys, seed, radius,
+                                             n):
+    rc = main(["bath", "--radius", str(radius), "--concentration", str(n),
+               "--seed", str(seed), "--out-dir", str(tmp_path)])
+    assert rc == (0 if 0 <= seed < 2 ** 128 else 2)
+    if rc == 2:
+        assert capsys.readouterr().err.startswith("error: seed must be ")
+
+
+def test_spectrum_explicit_tensor_nuclei(tmp_path, capsys):
+    # the explicit tensor of a first-shell nucleus at azimuth 120 deg gives
+    # the lines of --first-shell 120
+    tensor = first_shell_tensor(120.0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nuclei": [
+        {"a_par_mhz": tensor.a_par_mhz, "a_perp_mhz": tensor.a_perp_mhz,
+         "polar_deg": tensor.polar_deg, "azimuth_deg": tensor.azimuth_deg}]}))
+    d_cfg, d_flag = tmp_path / "cfg", tmp_path / "flag"
+    assert main(["spectrum", "--config", str(cfg),
+                 "--out-dir", str(d_cfg)]) == 0
+    assert main(["spectrum", "--first-shell", "120",
+                 "--out-dir", str(d_flag)]) == 0
+    for name in ("spectrum_lines.csv", "spectrum.csv"):
+        assert read_rows(d_cfg / name) == read_rows(d_flag / name)
+    assert len(read_rows(d_cfg / "spectrum_lines.csv")) > 10
+    capsys.readouterr()
+    cfg.write_text(json.dumps({"nuclei": [{"a_par_mhz": 14.0}]}))
+    assert main(["spectrum", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "bad")]) == 2
+    assert capsys.readouterr().err == "error: nuclei[0]: missing a_perp_mhz\n"
+
+
+_REGISTER_FLAGS = ["--field", "83", "--first-shell", "0", "--third-shell", "1"]
+
+
+@pytest.mark.parametrize("argv, written, title", [
+    (["spectrum", "--field", "83", "--first-shell", "0", "--plot"],
+     ["spectrum_lines.csv", "spectrum.csv", "spectrum.svg"], "ESR spectrum"),
+    (["linewidth", "--concentrations", "0.001,0.01", "--plot"],
+     ["linewidth.csv", "linewidth.svg"], "inhomogeneous linewidth"),
+    (["fit", "--input", "{fid}", "--plot"], ["fit_fid.csv", "fit_fid.svg"],
+     "fid fit"),
+    (["fit", "--input", "{fid}", "--model", "echo", "--plot"],
+     ["fit_echo.csv", "fit_echo.svg"], "echo fit"),
+    (["bath", "--radius", "8", "--concentration", "0.1", "--seed", "3"],
+     ["bath_sites.csv"], None),
+    (["pulse", *_REGISTER_FLAGS, "--sequence", "{seq}"], ["populations.csv"],
+     None),
+    (["pulse", *_REGISTER_FLAGS, "--rabi", "mw", "2", "4", "--t-max", "2",
+      "--points", "41", "--plot"], ["rabi.csv", "rabi.svg"],
+     "Rabi oscillation"),
+    (["pulse", *_REGISTER_FLAGS, "--bell", "psi_minus", "--detune",
+      "0.2,0.1"], ["bell_dephasing.csv"], None),
+    (["pulse", *_REGISTER_FLAGS, "--endor", "1"], [], None),
+], ids=["spectrum", "linewidth", "fit-fid", "fit-echo", "bath",
+        "pulse-sequence", "pulse-rabi", "pulse-bell", "pulse-endor"])
+def test_outputs_carry_provenance_and_are_announced_once(
+        tmp_path, capsys, argv, written, title):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    t = np.linspace(0.0, 40.0, 80)
+    (inputs / "fid.csv").write_text("".join(
+        f"{tt:.12g},{yy:.12g}\n"
+        for tt, yy in zip(t, fid_model(t, 13.3, 0.9, 0.5, 0.5))))
+    (inputs / "seq.seq").write_text("MW 2 4 3.141592653589793 0 dur=0.5\n"
+                                    "WAIT 0.7\n")
+    argv = [a.format(fid=inputs / "fid.csv", seq=inputs / "seq.seq")
+            for a in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--seed", "3", "--out-dir", str(out)]) == 0
+    paths = [str(out / name) for name in written]
+    stdout = capsys.readouterr().out
+    # the summary comes first, then one line per file in write order
+    assert stdout.splitlines()[len(stdout.splitlines()) - len(paths):] \
+        == [f"wrote {p}" for p in paths]
+    assert all(stdout.count(p) == 1 for p in paths)
+    assert sorted(p.name for p in out.glob("*")) == sorted(written)
+    for name in written:
+        text = (out / name).read_text()
+        if name.endswith(".csv"):
+            head = text.splitlines()[:3]
+            assert head[0] == "# tool: nvbath 0.1.0"
+            assert HEX12.match(head[1])
+            assert head[2] == "# seed: 3"
+        else:
+            assert text.startswith("<svg ") and text.endswith("</svg>\n")
+            assert f">{title}</text>" in text
 
 
 def test_pulse_mode_exclusivity(tmp_path, capsys):

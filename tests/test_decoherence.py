@@ -260,7 +260,8 @@ def test_bath_simulation_validation(monkeypatch):
     t = np.linspace(0.0, 1.0, 5)
     for kwargs in ({"kind": "dq"}, {"n_samples": 10}, {"t_us": t[::-1]},
                    {"occupancy": 1.5}, {"occupancy": math.nan},
-                   {"n_samples": 150.5}, {"seed": -1},
+                   {"n_samples": 150.5}, {"seed": -1}, {"seed": 2 ** 128},
+                   {"seed": 2.5},
                    {"t_us": [0.0, math.inf]},
                    {"couplings": _two_site_couplings([1.0, math.nan],
                                                      [0.0, 3.0])}):

@@ -232,6 +232,17 @@ def test_sample_bath_deterministic_and_prefix_stable():
                            a.site_indices)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5, "5"])
+def test_sample_bath_seed_is_an_integer_below_2_128(seed):
+    sites = classify_shells(generate_lattice(6.0))
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        sample_bath(sites, 0.05, seed)
+    top = sample_bath(sites, 0.5, 2 ** 128 - 1)
+    u = np.random.Generator(np.random.Philox(key=2 ** 128 - 1)).random(
+        len(sites))
+    np.testing.assert_array_equal(top.site_indices, np.flatnonzero(u < 0.5))
+
+
 def test_sample_bath_mean_occupancy():
     sites = classify_shells(generate_lattice(8.0))
     n = 0.084

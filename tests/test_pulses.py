@@ -20,6 +20,7 @@ from nvbath.pulses import (
     bell_prepare_and_fidelity,
     bell_sequence,
     bell_target_vector,
+    endor_sequence,
     endor_transfer,
     format_sequence,
     free_unitary,
@@ -222,6 +223,21 @@ def test_bell_needs_two_nuclei():
         bell_sequence(one, "phi_plus")
     with pytest.raises(ValidationError):
         bell_sequence(make_register(), "chi_plus")
+    # the register is checked before any state or level is looked up
+    for call in (lambda: bell_prepare_and_fidelity(one, "phi_plus"),
+                 lambda: bell_target_vector(one, "phi_plus"),
+                 lambda: bell_dephasing_fidelity(one, "phi_plus", [0.0, 1.0],
+                                                 0.1, 0.2)):
+        with pytest.raises(ValidationError, match="exactly 2 nuclear qubits"):
+            call()
+
+
+@pytest.mark.parametrize("t, d1, d2", [([0.0, math.nan], 0.1, 0.2),
+                                       ([0.0, 1.0], math.nan, 0.2),
+                                       ([0.0, 1.0], 0.1, math.inf)])
+def test_bell_dephasing_rejects_non_finite_inputs(t, d1, d2):
+    with pytest.raises(ValidationError, match="must be finite"):
+        bell_dephasing_fidelity(make_register(), "phi_plus", t, d1, d2)
 
 
 def test_label_swap_negates_psi_minus():
@@ -255,6 +271,14 @@ def test_endor_transfer_is_unity():
     for nucleus in (0, 1):
         for ms in (1, -1):
             assert abs(endor_transfer(reg, nucleus, ms) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("nucleus", [-1, 2, 5])
+def test_endor_nucleus_out_of_range(nucleus):
+    reg = make_register()
+    for call in (endor_sequence, endor_transfer):
+        with pytest.raises(ValidationError, match=f"nucleus {nucleus} "):
+            call(reg, nucleus)
 
 
 def test_hahn_echo_full_revival():

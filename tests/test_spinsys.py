@@ -222,6 +222,18 @@ def test_field_rejects_non_finite_magnitude(gauss):
         ZeemanField.along((0.0, 0.0, 1.0), gauss)
 
 
+@pytest.mark.parametrize("bad", [(math.nan, 1.0, 1.0), (math.inf, 0.0, 0.0),
+                                 (0.0, -math.inf, 1.0)])
+def test_directions_reject_non_finite_components(bad):
+    for make, what in ((lambda v: ZeemanField(83.0, v), "field direction"),
+                       (lambda v: ZeemanField.along(v, 83.0),
+                        "field direction"),
+                       (lambda v: ZfsParams(axis=v), "ZFS axis"),
+                       (ZfsParams.along, "ZFS axis")):
+        with pytest.raises(ValidationError, match=f"{what} must be finite"):
+            make(bad)
+
+
 def test_max_nuclei_enforced():
     with pytest.raises(ValidationError):
         SpinSystemSpec(field=FIELD_83,
