@@ -78,7 +78,6 @@ def _effective(args, defaults: dict, overrides: dict):
     return cfg, _Output(args, cfg)
 
 
-@functools.cache
 def _row_format(types) -> str:
     """printf format of a CSV row from its cell types: integers as %d,
     floats as %.10g (the same text as f"{x:.10g}"), anything else as %s."""
@@ -109,10 +108,13 @@ class _Output:
         print(f"wrote {path}")
 
     def csv(self, name, columns, rows, comments=()):
+        """Write tuple rows under the header; every column holds one cell
+        type, so the first row's types give the format of all."""
         lines = self.head + [f"# {c}" for c in comments] + [",".join(columns)]
-        for row in rows:
-            row = tuple(row)
-            lines.append(_row_format(tuple(map(type, row))) % row)
+        rows = list(rows)
+        if rows:
+            fmt = _row_format(tuple(map(type, rows[0])))
+            lines += [fmt % row for row in rows]
         self._write(name, "\n".join(lines) + "\n")
 
     def svg(self, name, series, **kwargs):
@@ -303,10 +305,9 @@ def cmd_spectrum(args) -> int:
     spectrum = synth_spectrum(lines, grid, fwhm)
     print(f"{len(lines)} lines; strongest "
           f"{max(lines, key=lambda l: l.intensity).freq_mhz:.4f} MHz")
-    out.csv("spectrum_lines.csv", ("freq_mhz", "intensity", "i", "j"),
-            [(l.freq_mhz, l.intensity, l.i, l.j) for l in lines])
+    out.csv("spectrum_lines.csv", ("freq_mhz", "intensity", "i", "j"), lines)
     out.csv("spectrum.csv", ("frequency_mhz", "intensity"),
-            zip(spectrum.freq_mhz, spectrum.intensity))
+            zip(spectrum.freq_mhz.tolist(), spectrum.intensity.tolist()))
     if args.plot:
         out.svg("spectrum.svg",
                 [{"x": spectrum.freq_mhz, "y": spectrum.intensity}],
@@ -360,9 +361,7 @@ def cmd_linewidth(args) -> int:
     points = linewidth_curve(n_values, regime=cfg["regime"], coeff_cm6=coeff)
     out.csv("linewidth.csv",
             ("n", "w_contact_mhz", "w_dipolar_mhz", "w_total_mhz",
-             "t2star_us"),
-            [(p.n, p.w_contact_mhz, p.w_dipolar_mhz, p.w_total_mhz,
-              p.t2star_us) for p in points])
+             "t2star_us"), points)
     if args.plot:
         series = [{"x": n_values, "y": [p.w_contact_mhz for p in points],
                    "label": "contact"},
@@ -475,19 +474,18 @@ def _parse_init(register, text):
 def cmd_pulse(args) -> int:
     if args.points < 1:
         raise ValidationError("--points must be at least 1")
-    overrides = {
-        "field_gauss": args.field,
-        "nuclei": _nuclei_from_flags(args),
-    }
-    cfg, out = _effective(args, _SYSTEM_DEFAULTS, overrides)
-    register = Register(_system_from_config(cfg))
-
     modes = [m for m in ("sequence", "rabi", "bell", "endor")
              if getattr(args, m) is not None]
     if len(modes) != 1:
         raise ValidationError(
             "pick exactly one of --sequence, --rabi, --bell, --endor")
     mode = modes[0]
+    overrides = {
+        "field_gauss": args.field,
+        "nuclei": _nuclei_from_flags(args),
+    }
+    cfg, out = _effective(args, _SYSTEM_DEFAULTS, overrides)
+    register = Register(_system_from_config(cfg))
 
     if mode == "sequence":
         try:
@@ -516,7 +514,8 @@ def cmd_pulse(args) -> int:
         curve, omega = rabi_simulate(register, channel.lower(), i, j, t,
                                      power=args.power)
         print(f"Rabi frequency {omega:.6g} MHz at power {args.power:g}")
-        out.csv("rabi.csv", ("t_us", "population"), zip(t, curve.signal))
+        out.csv("rabi.csv", ("t_us", "population"),
+                zip(t.tolist(), curve.signal.tolist()))
         if args.plot:
             out.svg("rabi.svg", [{"x": t, "y": curve.signal}],
                     xlabel="t (us)", ylabel="transfer probability",
@@ -531,8 +530,8 @@ def cmd_pulse(args) -> int:
             if len(d) != 2:
                 raise ValidationError("--detune takes two values: d1,d2 MHz")
             t = np.linspace(0.0, args.t_max, args.points)
-            rows = zip(t, bell_dephasing_fidelity(register, variant, t,
-                                                  d[0], d[1]))
+            rows = zip(t.tolist(), bell_dephasing_fidelity(
+                register, variant, t, d[0], d[1]).tolist())
         _, fid, p00 = bell_prepare_and_fidelity(register, variant)
         print(f"{variant}: preparation fidelity {fid:.9f}, "
               f"round-trip detection {p00:.9f}")

@@ -12,10 +12,11 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .constants import EN_DIPOLAR_KHZ_A3, LATTICE_A_ANGSTROM
+from .constants import LATTICE_A_ANGSTROM
 from .errors import ResourceLimitError, ValidationError
 
 NV_AXIS = (1 / math.sqrt(3),) * 3
@@ -33,27 +34,26 @@ BYTES_PER_SITE = 60
 _C3V_PERMS = ((0, 1, 2), (2, 0, 1), (1, 2, 0), (1, 0, 2), (0, 2, 1), (2, 1, 0))
 
 
-@dataclass(frozen=True)
-class LatticeSite:
-    """One carbon site: position (Angstrom), quarter-lattice integer
-    coordinates, distance-ordered shell index (0 = unclassified), and the
-    sublattice tag (0 = vacancy sublattice, 1 = nitrogen sublattice)."""
+class LatticeSite(NamedTuple):
+    """One carbon site: quarter-lattice integer coordinates, distance-ordered
+    shell index (0 = unclassified) and sublattice tag (0 = vacancy
+    sublattice, 1 = nitrogen sublattice). Position and distance derive from
+    the quarter coordinates."""
 
-    position: tuple
     quarter: tuple
     shell: int = 0
     sublattice: int = 0
 
     @property
+    def position(self) -> tuple:
+        """(x, y, z) in Angstrom, bitwise equal to positions_of's row."""
+        a4 = LATTICE_A_ANGSTROM / 4.0
+        return (a4 * self.quarter[0], a4 * self.quarter[1],
+                a4 * self.quarter[2])
+
+    @property
     def distance(self) -> float:
         return LATTICE_A_ANGSTROM / 4.0 * math.sqrt(sum(q * q for q in self.quarter))
-
-
-def _site(quarter: tuple, shell: int, sublattice: int) -> LatticeSite:
-    a4 = LATTICE_A_ANGSTROM / 4.0
-    return LatticeSite(position=(a4 * quarter[0], a4 * quarter[1],
-                                 a4 * quarter[2]),
-                       quarter=quarter, shell=shell, sublattice=sublattice)
 
 
 class Lattice(Sequence):
@@ -79,14 +79,14 @@ class Lattice(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, (int, np.integer)):
-            return _site(tuple(self.quarter[i].tolist()), int(self.shell[i]),
-                         int(self.sublattice[i]))
+            return LatticeSite(tuple(self.quarter[i].tolist()),
+                               int(self.shell[i]), int(self.sublattice[i]))
         return Lattice(self.quarter[i], self.shell[i], self.sublattice[i])
 
     def __iter__(self):
-        for q, shell, sub in zip(self.quarter.tolist(), self.shell.tolist(),
-                                 self.sublattice.tolist()):
-            yield _site(tuple(q), shell, sub)
+        return map(LatticeSite._make, zip(map(tuple, self.quarter.tolist()),
+                                          self.shell.tolist(),
+                                          self.sublattice.tolist()))
 
 
 def as_lattice(sites) -> Lattice:
@@ -99,13 +99,6 @@ def as_lattice(sites) -> Lattice:
         np.array([s.quarter for s in sites], dtype=np.int32).reshape(-1, 3),
         np.array([s.shell for s in sites], dtype=np.int32),
         np.array([s.sublattice for s in sites], dtype=np.int8))
-
-
-def first_shell_positions():
-    """Positions (Angstrom) of the three nearest-neighbor carbons."""
-    a4 = LATTICE_A_ANGSTROM / 4.0
-    return [np.array(q, dtype=float) * a4
-            for q in ((1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
 
 
 def _squared_norms(quarter) -> np.ndarray:
@@ -250,32 +243,18 @@ def shell_occupancy_probability(multiplicity: int, n: float, k: int = None):
 
 @dataclass(frozen=True)
 class BathSample:
-    """One random 13C occupation of a site list.
-
-    Couplings are the angular-independent electron-nuclear point-dipole
-    magnitudes K/r^3 in kHz, recomputable bit-identically from positions.
-    """
+    """One random 13C occupation of a site list: the occupied site indices
+    and their positions (Angstrom)."""
 
     seed: int
     concentration: float
     site_indices: np.ndarray
     positions: np.ndarray
-    couplings_khz: np.ndarray
     n_sites_total: int
 
     @property
     def count(self) -> int:
         return len(self.site_indices)
-
-
-def electron_coupling_khz(positions):
-    """Point-dipole electron-nuclear coupling magnitude (kHz) at positions
-    (Angstrom) relative to the electron at the origin."""
-    pos = np.asarray(positions, dtype=float).reshape(-1, 3)
-    r = np.sqrt(np.einsum("ij,ij->i", pos, pos))
-    if np.any(r <= 0):
-        raise ValidationError("coupling requested at the origin")
-    return EN_DIPOLAR_KHZ_A3 / r ** 3
 
 
 def bath_stream(seed) -> np.random.Generator:
@@ -302,5 +281,4 @@ def sample_bath(sites, n: float, seed: int) -> BathSample:
     pos = positions_of(lat[idx])
     return BathSample(seed=int(seed), concentration=float(n),
                       site_indices=idx, positions=pos,
-                      couplings_khz=electron_coupling_khz(pos),
                       n_sites_total=len(lat))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,10 +111,10 @@ def t2star_to_linewidth(t2_s: float) -> float:
     return _fwhm_time_map(t2_s, "T2*")
 
 
-@dataclass(frozen=True)
-class LinewidthPoint:
+class LinewidthPoint(NamedTuple):
     """Both model linewidths (MHz), the reported total, and the equivalent
-    dephasing time (us) at one concentration."""
+    dephasing time (us) at one concentration; the fields are the columns of
+    linewidth.csv."""
 
     n: float
     w_contact_mhz: float

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as _dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -280,21 +281,14 @@ def diagonalize(h: np.ndarray) -> EigenSystem:
     return EigenSystem(values=vals, vectors=vecs)
 
 
-@dataclass(frozen=True)
-class TransitionLine:
-    """One ESR line: frequency (MHz), normalized intensity, level indices."""
+class TransitionLine(NamedTuple):
+    """One ESR line: frequency (MHz), normalized intensity, level indices;
+    the fields are the columns of spectrum_lines.csv."""
 
     freq_mhz: float
     intensity: float
     i: int
     j: int
-
-
-def _transverse_axis(spec: SpinSystemSpec):
-    ref = np.asarray(spec.field.direction if spec.field.gauss > 0
-                     else spec.zfs.axis, dtype=float)
-    e1, _, _ = orthonormal_frame(ref)
-    return e1
 
 
 def esr_transitions(spec: SpinSystemSpec, window=None, floor=1e-4):
@@ -305,14 +299,15 @@ def esr_transitions(spec: SpinSystemSpec, window=None, floor=1e-4):
     Intensities are normalized to unit sum over the requested frequency
     window, then lines weaker than ``floor`` are dropped.
     """
-    eig = diagonalize(build_hamiltonian(spec))
     if window is not None:
         lo, hi = float(window[0]), float(window[1])
         if not hi > lo:
             raise ValidationError("window must satisfy f_max > f_min")
-    sx, sy, sz = electron_ops(spec)
-    e1 = _transverse_axis(spec)
-    sxp = e1[0] * sx + e1[1] * sy + e1[2] * sz
+    eig = diagonalize(build_hamiltonian(spec))
+    ref = spec.field.direction if spec.field.gauss > 0 else spec.zfs.axis
+    e1, _, _ = orthonormal_frame(np.asarray(ref, dtype=float))
+    sxp = np.kron(e1[0] * SX1 + e1[1] * SY1 + e1[2] * SZ1,
+                  np.eye(2 ** spec.n_nuclei))
     m = eig.vectors.conj().T @ sxp @ eig.vectors
     w2 = np.abs(m) ** 2
 
@@ -328,9 +323,9 @@ def esr_transitions(spec: SpinSystemSpec, window=None, floor=1e-4):
     w = w / total
     keep = np.flatnonzero(w >= floor)
     keep = keep[np.argsort(f[keep], kind="stable")]
-    return [TransitionLine(*line) for line in zip(
+    return list(map(TransitionLine._make, zip(
         f[keep].tolist(), w[keep].tolist(), i[keep].tolist(),
-        j[keep].tolist())]
+        j[keep].tolist())))
 
 
 @dataclass(frozen=True)

@@ -81,12 +81,12 @@ def symmetry_classes(sites) -> dict:
 
 
 def reference_sites(radius_angstrom):
-    """Classified sites within the radius, ordered by (d^2, quarter)."""
+    """(sites, positions): the classified sites within the radius, ordered
+    by (d^2, quarter), and their positions in Angstrom as A4 * quarter."""
     found = sorted(brute_force_quarters(radius_angstrom),
                    key=lambda t: (_d2(t[0]), t[0]))
-    sites = [LatticeSite(position=tuple(A4 * c for c in q), quarter=q,
-                         sublattice=sub) for q, sub in found]
+    sites = [LatticeSite(quarter=q, sublattice=sub) for q, sub in found]
     shells, _ = reference_shells(sites)
-    return [LatticeSite(position=s.position, quarter=s.quarter, shell=sh,
-                        sublattice=s.sublattice)
-            for s, sh in zip(sites, shells)]
+    return ([LatticeSite(quarter=s.quarter, shell=sh, sublattice=s.sublattice)
+             for s, sh in zip(sites, shells)],
+            [tuple(A4 * c for c in s.quarter) for s in sites])

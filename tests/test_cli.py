@@ -9,14 +9,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lattice_reference import reference_sites
+import nvbath.cli
+import nvbath.spinsys
 from nvbath.cli import _row_format, main, read_decay_csv
 from nvbath.decoherence import fid_model
 from nvbath.errors import ValidationError
+from nvbath.lattice import classify_shells, generate_lattice
+from nvbath.linewidth import LinewidthPoint, linewidth_curve
 from nvbath.pulses import (Register, RegisterState, bell_sequence,
                            format_sequence)
 from nvbath.spinsys import (
     SpinSystemSpec,
+    TransitionLine,
     ZeemanField,
+    esr_transitions,
     first_shell_tensor,
     third_shell_tensor,
 )
@@ -70,6 +76,19 @@ def test_spectrum_window_validation(tmp_path):
     # empty window: no transitions to report
     assert main(["spectrum", "--field", "83", "--window", "10,20"]
                 + out) == 2
+
+
+def test_reversed_window_exits_before_diagonalizing(tmp_path, monkeypatch):
+    calls = []
+    diagonalize = nvbath.spinsys.diagonalize
+    monkeypatch.setattr(nvbath.spinsys, "diagonalize",
+                        lambda h: calls.append(h.shape) or diagonalize(h))
+    assert main(["spectrum", "--first-shell", "0,120", "--third-shell", "3",
+                 "--window", "3400,2400", "--out-dir", str(tmp_path)]) == 2
+    assert calls == []
+    assert main(["spectrum", "--first-shell", "0", "--window", "2400,3400",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert calls == [(6, 6)]
 
 
 def test_config_flag_precedence(tmp_path):
@@ -219,15 +238,64 @@ def test_bath_sampling_deterministic(tmp_path):
 def test_bath_rows_match_per_site_reference(tmp_path):
     assert main(["bath", "--radius", "12", "--concentration", "0.05",
                  "--seed", "5", "--out-dir", str(tmp_path)]) == 0
-    ref = reference_sites(12.0)
+    ref, positions = reference_sites(12.0)
     u = np.random.Generator(np.random.Philox(key=5)).random(len(ref))
-    want = [",".join([*(f"{x:.10g}" for x in ref[i].position),
+    want = [",".join([*(f"{x:.10g}" for x in positions[i]),
                       str(ref[i].shell)])
             for i in np.flatnonzero(u < 0.05)]
     lines = (tmp_path / "bath_sites.csv").read_text().splitlines()
     data = lines[lines.index("x_angstrom,y_angstrom,z_angstrom,shell") + 1:]
     assert len(want) > 20
     assert data == want
+
+
+def test_bath_without_occupied_sites_writes_only_the_header(tmp_path):
+    assert main(["bath", "--radius", "8", "--concentration", "0",
+                 "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "bath_sites.csv").read_text().splitlines()
+    assert len(lines) == 4 and [l[0] for l in lines[:3]] == ["#"] * 3
+    assert lines[3] == "x_angstrom,y_angstrom,z_angstrom,shell"
+
+
+def test_records_unpack_to_their_csv_rows(tmp_path):
+    """LatticeSite, TransitionLine and LinewidthPoint are the rows of the
+    CSV that each produces, and equal plain tuples of their cells."""
+    def cells(row):
+        return [f"{x:.10g}" if isinstance(x, float) else str(x) for x in row]
+
+    assert main(["bath", "--radius", "8", "--concentration", "1",
+                 "--out-dir", str(tmp_path)]) == 0
+    lat = classify_shells(generate_lattice(8.0))
+    rows = read_rows(tmp_path / "bath_sites.csv")
+    assert len(rows) == len(lat)
+    for k, row in enumerate(rows):
+        quarter, shell, sublattice = lat[k]
+        assert (quarter, shell, sublattice) == (
+            tuple(lat.quarter[k].tolist()), int(lat.shell[k]),
+            int(lat.sublattice[k]))
+        assert list(row.values()) == cells([*lat[k].position, shell])
+
+    assert main(["spectrum", "--field", "83", "--first-shell", "0,120",
+                 "--out-dir", str(tmp_path)]) == 0
+    lines = esr_transitions(SpinSystemSpec(
+        field=ZeemanField(83.0),
+        hyperfine=(first_shell_tensor(0.0), first_shell_tensor(120.0))))
+    rows = read_rows(tmp_path / "spectrum_lines.csv")
+    assert len(rows) == len(lines) > 0
+    assert tuple(rows[0]) == TransitionLine._fields
+    for k, row in enumerate(rows):
+        freq_mhz, intensity, i, j = lines[k]
+        assert lines[k] == (freq_mhz, intensity, i, j)
+        assert list(row.values()) == cells((freq_mhz, intensity, i, j))
+
+    assert main(["linewidth", "--concentrations", "0.001,0.011,0.2",
+                 "--out-dir", str(tmp_path)]) == 0
+    points = linewidth_curve([0.001, 0.011, 0.2])
+    rows = read_rows(tmp_path / "linewidth.csv")
+    assert len(rows) == len(points) == 3
+    assert tuple(rows[0]) == LinewidthPoint._fields
+    for k, row in enumerate(rows):
+        assert list(row.values()) == cells(points[k])
 
 
 def test_pulse_sequence_file_runs(tmp_path):
@@ -483,6 +551,22 @@ def test_pulse_mode_exclusivity(tmp_path, capsys):
     assert main(base) == 2
     assert "exactly one" in capsys.readouterr().err
     assert main(base + ["--endor", "--bell", "phi_plus"]) == 2
+
+
+def test_pulse_mode_is_checked_before_the_register_is_built(tmp_path,
+                                                            monkeypatch):
+    built = []
+    register = nvbath.cli.Register
+    monkeypatch.setattr(nvbath.cli, "Register",
+                        lambda spec: built.append(spec.dim) or register(spec))
+    base = ["pulse", "--first-shell", "0,120", "--third-shell", "4",
+            "--out-dir", str(tmp_path)]
+    assert main(base) == 2
+    assert main(base + ["--endor", "--bell", "phi_plus"]) == 2
+    assert built == []
+    assert main(["pulse", "--first-shell", "0", "--endor",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert built == [6]
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):

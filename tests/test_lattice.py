@@ -16,18 +16,13 @@ from hypothesis import strategies as st
 
 from lattice_reference import (brute_force_quarters, reference_shells,
                                reference_sites, symmetry_classes)
-from nvbath.constants import (BOHR_MAGNETON, G_ELECTRON_NV, G_NUCLEAR_C13,
-                              LATTICE_A_ANGSTROM, MU0, NUCLEAR_MAGNETON,
-                              PLANCK_H)
+from nvbath.constants import LATTICE_A_ANGSTROM
 from nvbath.errors import ResourceLimitError, ValidationError
 from nvbath.lattice import (
     BYTES_PER_SITE,
-    NV_AXIS,
     SITE_DENSITY_A3,
     Lattice,
     classify_shells,
-    electron_coupling_khz,
-    first_shell_positions,
     generate_lattice,
     positions_of,
     sample_bath,
@@ -48,14 +43,14 @@ def test_matches_brute_force_enumeration():
 @given(radius=st.floats(1.6, 14.0), subset_seed=st.integers(0, 2 ** 32 - 1))
 def test_arrays_match_per_site_reference(radius, subset_seed):
     lat = classify_shells(generate_lattice(radius))
-    ref = reference_sites(radius)
-    assert list(lat) == ref  # order, quarter, sublattice, shell, position
+    ref, ref_positions = reference_sites(radius)
+    assert list(lat) == ref  # order, quarter, shell, sublattice
     assert [lat[i] for i in range(len(lat))] == ref
+    assert [s.position for s in lat] == ref_positions
     assert lat.quarter.tolist() == [list(s.quarter) for s in ref]
     assert lat.shell.tolist() == [s.shell for s in ref]
     assert lat.sublattice.tolist() == [s.sublattice for s in ref]
-    np.testing.assert_array_equal(positions_of(lat),
-                                  np.array([s.position for s in ref]))
+    np.testing.assert_array_equal(positions_of(lat), np.array(ref_positions))
     # a plain list of LatticeSite classifies like the array type
     assert classify_shells(list(generate_lattice(radius))).shell.tolist() \
         == lat.shell.tolist()
@@ -142,13 +137,6 @@ def test_radius_2_gives_exactly_first_shell():
         assert abs(s.distance - d) <= 1e-12
 
 
-def test_first_shell_positions_agree_with_lattice():
-    sites = generate_lattice(2.0)
-    from_lattice = sorted(map(tuple, positions_of(sites).round(12)))
-    helper = sorted(map(tuple, np.array(first_shell_positions()).round(12)))
-    assert from_lattice == helper
-
-
 def test_shell_counts_and_split():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -198,30 +186,12 @@ def test_radius_cap():
             generate_lattice(bad)
 
 
-def test_coupling_decreases_on_axis():
-    axis = np.array(NV_AXIS)
-    pos = np.array([axis * r for r in (2.0, 4.0, 8.0, 16.0)])
-    c = electron_coupling_khz(pos)
-    assert np.all(np.diff(c) < 0)
-    # 1/r^3: doubling the distance divides the coupling by 8
-    np.testing.assert_allclose(c[:-1] / c[1:], 8.0, rtol=1e-12)
-
-
-def test_coupling_magnitude_oracle():
-    # mu0/(4 pi) * g_e mu_B g_n mu_N / h / r^3, converted to kHz at Angstrom
-    r_m = 3.5e-10
-    k = (MU0 / (4.0 * math.pi) * G_ELECTRON_NV * BOHR_MAGNETON
-         * G_NUCLEAR_C13 * NUCLEAR_MAGNETON / PLANCK_H / r_m ** 3) / 1e3
-    got = electron_coupling_khz(np.array([[3.5, 0.0, 0.0]]))[0]
-    assert abs(got - k) / k <= 1e-12
-
-
 def test_sample_bath_deterministic_and_prefix_stable():
     sites = classify_shells(generate_lattice(10.0))
     a = sample_bath(sites, 0.05, seed=11)
     b = sample_bath(sites, 0.05, seed=11)
     np.testing.assert_array_equal(a.site_indices, b.site_indices)
-    np.testing.assert_array_equal(a.couplings_khz, b.couplings_khz)
+    np.testing.assert_array_equal(a.positions, b.positions)
     # counter-based draws: site i's variate depends only on (seed, i), so a
     # shorter site list selects a prefix-consistent subset
     c = sample_bath(sites[:40], 0.05, seed=11)
@@ -286,10 +256,9 @@ def test_occupancy_probability_oracle():
 def test_bath_couplings_match_positions():
     sites = classify_shells(generate_lattice(10.0))
     s = sample_bath(sites, 0.1, seed=3)
-    np.testing.assert_allclose(s.couplings_khz,
-                               electron_coupling_khz(s.positions),
-                               rtol=1e-15)
+    np.testing.assert_array_equal(s.positions,
+                                  positions_of(sites)[s.site_indices])
     assert s.n_sites_total == len(sites)
     empty = sample_bath(sites, 0.0, seed=3)
     assert empty.count == 0
-    assert empty.positions.shape == (0, 3) and empty.couplings_khz.shape == (0,)
+    assert empty.positions.shape == (0, 3)
