@@ -34,8 +34,8 @@ from .pulses import (BELL_VARIANTS, Register, bell_dephasing_fidelity,
                      bell_prepare_and_fidelity, endor_transfer,
                      parse_sequence, rabi_simulate, run_sequence)
 from .spinsys import (HyperfineTensor, SpinSystemSpec, ZeemanField,
-                      ZfsParams, esr_transitions, first_shell_tensor,
-                      synth_spectrum, third_shell_tensor)
+                      ZfsParams, check_fwhm, esr_transitions,
+                      first_shell_tensor, synth_spectrum, third_shell_tensor)
 from . import svgplot
 
 EXIT_OK = 0
@@ -290,10 +290,10 @@ def cmd_spectrum(args) -> int:
             raise ValidationError("window needs exactly two values: lo,hi")
     spec = _system_from_config(cfg)
     floor = _number(cfg["intensity_floor"], "intensity_floor")
+    fwhm = check_fwhm(_number(cfg["fwhm_mhz"], "fwhm_mhz"))
     lines = esr_transitions(spec, window=window, floor=floor)
     if not lines:
         raise ValidationError("no transitions in the requested window")
-    fwhm = _number(cfg["fwhm_mhz"], "fwhm_mhz")
     grid = cfg["grid_mhz"]
     if grid is None:
         lo = min(l.freq_mhz for l in lines) - 5.0 * fwhm
@@ -474,6 +474,9 @@ def _parse_init(register, text):
 def cmd_pulse(args) -> int:
     if args.points < 1:
         raise ValidationError("--points must be at least 1")
+    for flag, value in (("--t-max", args.t_max), ("--power", args.power)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{flag} must be finite, got {value:g}")
     modes = [m for m in ("sequence", "rabi", "bell", "endor")
              if getattr(args, m) is not None]
     if len(modes) != 1:

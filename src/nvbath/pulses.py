@@ -25,7 +25,7 @@ from .constants import NUCLEAR_MHZ_PER_GAUSS
 from .decoherence import DecayCurve
 from .errors import (AmbiguousTransitionError, ValidationError)
 from .spinsys import (SX1, SY1, SZ1, SpinSystemSpec, build_hamiltonian,
-                      diagonalize)
+                      diagonalize, single_nucleus_hamiltonians)
 
 DEGENERACY_TOL_MHZ = 1e-9
 
@@ -45,22 +45,29 @@ KAPPA_MW_MHZ = 1.0
 KAPPA_RF_PER_MHZ = 1e-3
 
 
-def _spinor_along(u):
-    """+1/2 spin-1/2 eigenvector along the unit vector u."""
-    theta = math.acos(max(-1.0, min(1.0, float(u[2]))))
-    phi = math.atan2(float(u[1]), float(u[0]))
-    return np.array([math.cos(theta / 2.0),
-                     math.sin(theta / 2.0) * np.exp(1j * phi)], dtype=complex)
+def _assign_by_mutual_maxima(overlap):
+    """Row assigned to each column of a square matrix by the greedy that
+    takes pairs in the order (overlap descending, row, column) and keeps a
+    pair while its row and column are both free.
 
-
-def _orient(u, preferred):
-    """Flip u so it points along the first preferred direction it is not
-    perpendicular to (deterministic sign convention)."""
-    for ref in preferred:
-        d = float(u @ ref)
-        if abs(d) > 1e-9:
-            return u if d > 0 else -u
-    return u
+    A pair whose entry is the first maximum of both its row and its column
+    among the unassigned ones comes before every other pair that shares its
+    row or column in that order, so the greedy takes it; each round assigns
+    all such pairs and drops their rows and columns."""
+    rows = np.arange(overlap.shape[0])
+    cols = np.arange(overlap.shape[1])
+    owner = np.empty(len(cols), dtype=np.intp)
+    sub = overlap
+    while len(rows):
+        best_col = sub.argmax(axis=1)
+        mutual = sub.argmax(axis=0)[best_col] == np.arange(len(rows))
+        won = best_col[mutual]
+        owner[cols[won]] = rows[mutual]
+        free = np.ones(len(cols), dtype=bool)
+        free[won] = False
+        rows, cols = rows[~mutual], cols[free]
+        sub = sub[~mutual][:, free]
+    return owner
 
 
 class Register:
@@ -70,9 +77,12 @@ class Register:
     The comparison basis quantizes the electron along the ZFS axis and each
     nucleus along its local effective field in that manifold (the hyperfine
     row for m_s = +-1, the external field for m_s = 0); bit 0 is m = +1/2
-    along that axis. Each eigenstate takes the label of its dominant
-    comparison state; the achieved overlap is kept per level so that
-    addressing through a badly mixed level can be refused.
+    along that axis. Comparison state p is (m_s, bits) with
+    p = (1 - m_s) 2^N + bits, nucleus 0 the most significant bit, and
+    label_codes holds the p of each level. Levels take labels greedily by
+    overlap, exact ties going to the lower p and then the lower level; the
+    achieved overlap is kept per level so that addressing through a badly
+    mixed level can be refused.
     """
 
     def __init__(self, spec: SpinSystemSpec):
@@ -80,115 +90,111 @@ class Register:
         self.eig = diagonalize(build_hamiltonian(spec))
         self.n_nuclei = spec.n_nuclei
         self.dim = spec.dim
-        self.labels, self.label_overlap, self.label_contrast = \
+        self.label_codes, self.label_overlap, self.label_contrast = \
             self._assign_labels()
+        names = [(ms, bits) for ms in (1, 0, -1) for bits in
+                 itertools.product((0, 1), repeat=self.n_nuclei)]
+        self.labels = [names[p] for p in self.label_codes.tolist()]
         self.index = {lab: k for k, lab in enumerate(self.labels)}
         self._transition_table()
 
     def _electron_states(self):
+        """Columns: the electron states m_s = +1, 0, -1 along the ZFS
+        axis."""
         axis = np.asarray(self.spec.zfs.axis, dtype=float)
         s_axis = axis[0] * SX1 + axis[1] * SY1 + axis[2] * SZ1
-        vals_e, vecs_e = np.linalg.eigh(s_axis)
-        return {int(round(vals_e[k])): vecs_e[:, k].astype(complex)
-                for k in range(3)}
+        return np.linalg.eigh(s_axis)[1][:, ::-1]  # eigh sorts -1, 0, +1
 
     def _nuclear_spinors(self, evec):
         """Exact manifold spinors of each nucleus from its own
-        single-nucleus problem (second-order pseudo-fields included).
+        single-nucleus problem (second-order pseudo-fields included), all
+        nuclei solved as one stack.
 
-        Returns spinors[q][ms] = (bit0 vector, bit1 vector)."""
+        Returns s[q, m, :, b]: the spinor of bit b of nucleus q in manifold
+        m (m_s = +1, 0, -1)."""
+        n = self.n_nuclei
+        vecs = diagonalize(single_nucleus_hamiltonians(self.spec)).vectors
+        # c[q, m, :, k]: level k of nucleus q with the electron factor of
+        # manifold m stripped
+        c = (evec.conj().T @ vecs.reshape(n, 3, 12)).reshape(n, 3, 2, 6)
+        # manifold membership by electron character, two levels each, the
+        # largest weight first (ties to the higher m_s, then the higher
+        # level: the first maximum with the levels reversed)
+        claims = (np.abs(c[..., ::-1]) ** 2).sum(axis=2)
+        member = np.zeros((n, 3, 6), dtype=bool)
+        q = np.arange(n)
+        for _ in range(6):
+            m, k = np.divmod(claims.reshape(n, 18).argmax(axis=1), 6)
+            member[q, m, k] = True
+            claims[q, :, k] = -1.0
+            full = member[q, m].sum(axis=1) == 2
+            claims[q[full], m[full]] = -1.0
+        levels = np.nonzero(member[..., ::-1])[2].reshape(n, 3, 1, 2)
+        c0, c1 = np.moveaxis(np.take_along_axis(c, levels, axis=3), 3, 0)
+        c0 = c0 / np.linalg.norm(c0, axis=-1, keepdims=True)
+        c1 = c1 - (c0.conj() * c1).sum(axis=-1, keepdims=True) * c0
+        c1 = c1 / np.linalg.norm(c1, axis=-1, keepdims=True)
+        # bit 0 follows the first-order local-field axis, oriented along the
+        # first of (field, ZFS axis, z) that it is not perpendicular to
         axis = np.asarray(self.spec.zfs.axis, dtype=float)
         bdir = np.asarray(self.spec.field.direction, dtype=float)
-        b_mhz = self.spec.field.gauss * NUCLEAR_MHZ_PER_GAUSS
-        spinors = []
-        for q in range(self.n_nuclei):
-            one = SpinSystemSpec(zfs=self.spec.zfs, field=self.spec.field,
-                                 hyperfine=(self.spec.hyperfine[q],))
-            vecs = diagonalize(build_hamiltonian(one)).vectors
-            proj = {ms: np.kron(evec[ms].conj(), np.eye(2))
-                    for ms in (1, 0, -1)}  # 2x6: strips the electron factor
-            # manifold membership by electron character, two levels each
-            claims = sorted(
-                ((float(np.linalg.norm(proj[ms] @ vecs[:, k]) ** 2), ms, k)
-                 for ms in (1, 0, -1) for k in range(6)), reverse=True)
-            members = {1: [], 0: [], -1: []}
-            taken = set()
-            for _, ms, k in claims:
-                if k not in taken and len(members[ms]) < 2:
-                    members[ms].append(k)
-                    taken.add(k)
-            by_ms = {}
-            a = self.spec.hyperfine[q].tensor(axis)
-            for ms in (1, 0, -1):
-                c = [proj[ms] @ vecs[:, k] for k in sorted(members[ms])]
-                c[0] = c[0] / np.linalg.norm(c[0])
-                c[1] = c[1] - (c[0].conj() @ c[1]) * c[0]
-                c[1] = c[1] / np.linalg.norm(c[1])
-                # bit 0 follows the first-order local-field axis
-                p = ms * (axis @ a) - b_mhz * bdir
-                norm = np.linalg.norm(p)
-                u = p / norm if norm > 1e-12 else axis.copy()
-                u = _orient(u, (bdir, axis, np.array([0.0, 0.0, 1.0])))
-                up = _spinor_along(u)
-                if abs(up.conj() @ c[1]) ** 2 > abs(up.conj() @ c[0]) ** 2:
-                    c = [c[1], c[0]]
-                by_ms[ms] = (c[0], c[1])
-            spinors.append(by_ms)
-        return spinors
+        p = np.array([1, 0, -1])[:, None] \
+            * (axis @ self.spec.tensors)[:, None, :] \
+            - self.spec.field.gauss * NUCLEAR_MHZ_PER_GAUSS * bdir
+        norm = np.linalg.norm(p, axis=-1, keepdims=True)
+        u = np.where(norm > 1e-12, p / np.where(norm > 1e-12, norm, 1.0),
+                     axis)
+        d = u @ np.array([bdir, axis, [0.0, 0.0, 1.0]]).T
+        along = np.abs(d) > 1e-9
+        first = np.take_along_axis(d, along.argmax(axis=-1)[..., None], -1)
+        u = np.where(along.any(axis=-1, keepdims=True) & (first < 0), -u, u)
+        # u's +1/2 spinor (cos theta/2, sin theta/2 e^{i phi})
+        half = np.arccos(np.clip(u[..., 2], -1.0, 1.0)) / 2.0
+        up = np.stack([np.cos(half), np.sin(half)
+                       * np.exp(1j * np.arctan2(u[..., 1], u[..., 0]))], -1)
+        swap = (np.abs((up.conj() * c1).sum(axis=-1)) ** 2
+                > np.abs((up.conj() * c0).sum(axis=-1)) ** 2)[..., None]
+        return np.stack([np.where(swap, c1, c0), np.where(swap, c0, c1)], -1)
 
     def _comparison_states(self):
-        """Comparison states as columns, one Kronecker chain per manifold
-        (m_s = +1, 0, -1) of the electron state with each nucleus's 2x2
+        """Comparison states as columns: per manifold (m_s = +1, 0, -1) the
+        Kronecker chain of the electron state with each nucleus's 2x2
         spinor matrix (columns bit 0, bit 1), so that nucleus 0 is the
-        most significant bit within a manifold."""
+        most significant bit within a manifold. The three chains grow
+        together, one Kronecker step per nucleus."""
         evec = self._electron_states()
-        spinors = self._nuclear_spinors(evec)
-        rows, labels = [], []
-        for ms in (1, 0, -1):
-            chain = evec[ms][:, None]
-            for by_ms in spinors:
-                chain = np.kron(chain, np.column_stack(by_ms[ms]))
-            rows.append(chain.T)
-            labels += [(ms, bits) for bits in
-                       itertools.product((0, 1), repeat=self.n_nuclei)]
-        return np.vstack(rows).T, labels
+        chain = evec.T[:, :, None]
+        for s in self._nuclear_spinors(evec):
+            m, r, c = chain.shape
+            chain = (chain[:, :, None, :, None] * s[:, None, :, None, :]) \
+                .reshape(m, 2 * r, 2 * c)
+        return np.concatenate(chain, axis=1)
 
     def _assign_labels(self):
-        basis, prod_labels = self._comparison_states()
-        overlap = np.abs(basis.conj().T @ self.eig.vectors) ** 2
-        # greedy: the largest remaining overlap gives its comparison state's
-        # label to its level, until every level has one
-        rows, cols = np.unravel_index(np.argsort(overlap, axis=None)[::-1],
-                                      overlap.shape)
-        owner = [-1] * self.dim
-        used = [False] * self.dim
-        left = self.dim
-        for p, k in zip(rows.tolist(), cols.tolist()):
-            if owner[k] < 0 and not used[p]:
-                owner[k] = p
-                used[p] = True
-                left -= 1
-                if not left:
-                    break
-        fidelity = overlap[owner, np.arange(self.dim)]
-        second, first = np.sort(overlap, axis=0)[-2:]
-        runner_up = np.where(fidelity == first, second, first)
-        contrast = fidelity / np.maximum(runner_up, 1e-300)
-        return [prod_labels[p] for p in owner], fidelity, contrast
+        overlap = np.abs(self._comparison_states().conj().T
+                         @ self.eig.vectors) ** 2
+        owner = _assign_by_mutual_maxima(overlap)
+        level = np.arange(self.dim)
+        fidelity = overlap[owner, level]
+        others = overlap.copy()
+        others[owner, level] = -1.0
+        contrast = fidelity / np.maximum(others.max(axis=0), 1e-300)
+        return owner, fidelity, contrast
 
     def _transition_table(self):
         """Level pairs p < q in row-major order, their |E_q - E_p| and, per
         channel, whether the labels allow the pair: MW changes m_s by one
-        and flips no nucleus, RF keeps m_s and flips exactly one."""
+        and flips no nucleus, RF keeps m_s and flips exactly one, that is,
+        the XOR of their bits is a power of two."""
         p, q = np.triu_indices(self.dim, 1)
-        ms = np.array([m for m, _ in self.labels])
-        bits = np.array([b for _, b in self.labels],
-                        dtype=int).reshape(self.dim, self.n_nuclei)
-        flips = (bits[p] != bits[q]).sum(axis=1)
+        manifold, bits = np.divmod(self.label_codes, 2 ** self.n_nuclei)
+        step = np.abs(manifold[p] - manifold[q])
+        flips = bits[p] ^ bits[q]
         self._pair_levels = (p, q)
         self._pair_freq = np.abs(self.eig.values[q] - self.eig.values[p])
-        self._pair_allowed = {"mw": (np.abs(ms[p] - ms[q]) == 1) & (flips == 0),
-                              "rf": (ms[p] == ms[q]) & (flips == 1)}
+        self._pair_allowed = {
+            "mw": (step == 1) & (flips == 0),
+            "rf": (step == 0) & (flips != 0) & (flips & (flips - 1) == 0)}
 
     def level(self, ms: int, bits) -> int:
         """Eigenstate index of the labeled level."""
@@ -210,8 +216,9 @@ class Register:
         """Default initialization: chosen m_s manifold, maximally mixed
         nuclei."""
         w = 1.0 / 2 ** self.n_nuclei
-        rho = np.diag([w if m == ms else 0.0 for m, _ in self.labels])
-        return RegisterState._trusted(self, rho.astype(complex))
+        in_ms = self.label_codes // 2 ** self.n_nuclei == 1 - ms
+        return RegisterState._trusted(
+            self, np.diag(np.where(in_ms, w, 0.0)).astype(complex))
 
 
 class RegisterState:
@@ -638,6 +645,8 @@ def rabi_frequency_mhz(register: Register, channel: str, i: int, j: int,
     """
     if power <= 0:
         raise ValidationError("power must be positive")
+    if not math.isfinite(power):
+        raise ValidationError(f"power must be finite, got {power:g}")
     if channel not in CHANNELS:
         raise ValidationError(f"channel must be one of {CHANNELS}")
     if channel == "mw":
@@ -658,6 +667,8 @@ def rabi_simulate(register: Register, channel: str, i: int, j: int, t_us,
     population of level j versus drive duration, sin^2(pi Omega t)."""
     _validate_target(register, Pulse(channel, i, j, math.pi))
     t = np.asarray(t_us, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValidationError("times must be finite")
     omega = rabi_frequency_mhz(register, channel, i, j, power)
     pop = np.sin(math.pi * omega * t) ** 2
     return DecayCurve(t_us=t, signal=pop), omega

@@ -10,6 +10,7 @@ the default symmetry axis is [111].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as _dc_field
 from typing import NamedTuple
@@ -26,9 +27,14 @@ from .constants import (
     THIRD_SHELL_A_MHZ,
     ZFS_D_MHZ,
 )
-from .errors import DimensionLimitError, ValidationError
+from .errors import DimensionLimitError, ResourceLimitError, ValidationError
 
 MAX_NUCLEI = 6
+MAX_GRID_POINTS = 2_000_000
+# Bound on the tracemalloc peak of `nvbath spectrum` per grid point;
+# measured 219-221 B at 1e5-4e5 points (numpy 2.4), reached while the CSV
+# rows are formatted, so the cap allows ~0.5 GB.
+BYTES_PER_GRID_POINT = 240
 
 # spin-1 operators, basis |m_s = +1>, |0>, |-1>
 SX1 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2)
@@ -197,6 +203,16 @@ class SpinSystemSpec:
     def n_nuclei(self) -> int:
         return len(self.hyperfine)
 
+    @functools.cached_property
+    def tensors(self) -> np.ndarray:
+        """(N, 3, 3) coupling matrices of the nuclei in the working frame
+        (MHz), computed once per spec; read-only."""
+        axis = np.asarray(self.zfs.axis, dtype=float)
+        a = np.array([t.tensor(axis) for t in self.hyperfine]) \
+            .reshape(-1, 3, 3)
+        a.flags.writeable = False
+        return a
+
     @property
     def dim(self) -> int:
         return 3 * 2 ** self.n_nuclei
@@ -218,6 +234,35 @@ _NUCLEAR_BLOCKS = [np.kron(np.eye(3, dtype=complex), i)
                    for i in (IXH, IYH, IZH)]
 
 
+def _electron_terms(spec: SpinSystemSpec, nuclear_dim: int) -> np.ndarray:
+    """ZFS and electron Zeeman terms on the electron (x) a nuclear space of
+    dimension nuclear_dim, in the order of the dense operator sum."""
+    axis = np.asarray(spec.zfs.axis, dtype=float)
+    bvec = spec.field.gauss * np.asarray(spec.field.direction, dtype=float)
+    # the ZFS square is a full-size product: BLAS rounds it differently at
+    # each matrix size, and the operator sum defines H at this size
+    eye = np.eye(nuclear_dim)
+    s_axis = np.kron(axis[0] * SX1 + axis[1] * SY1 + axis[2] * SZ1, eye)
+    h = spec.zfs.d_mhz * (s_axis @ s_axis)
+    return h + np.kron(ELECTRON_MHZ_PER_GAUSS
+                       * (bvec[0] * SX1 + bvec[1] * SY1 + bvec[2] * SZ1), eye)
+
+
+def _with_nucleus(blocks, a, spec: SpinSystemSpec):
+    """6x6 blocks on (electron, one nucleus) plus that nucleus's terms:
+    S_p a_pq I_q for p, q in turn, skipping zero couplings, then its Zeeman
+    term. a is the 3x3 tensor of the nucleus, or one per block."""
+    bvec = spec.field.gauss * np.asarray(spec.field.direction, dtype=float)
+    ix, iy, iz = _NUCLEAR_BLOCKS
+    for p in range(3):
+        for q in range(3):
+            c = a[..., p, q, None, None]
+            blocks = np.where(c != 0.0,
+                              blocks + c * _HYPERFINE_BLOCKS[p][q], blocks)
+    return blocks - NUCLEAR_MHZ_PER_GAUSS * (bvec[0] * ix + bvec[1] * iy
+                                             + bvec[2] * iz)
+
+
 def build_hamiltonian(spec: SpinSystemSpec) -> np.ndarray:
     """Full Hamiltonian matrix in MHz (Hermitian, dimension 3*2^N).
 
@@ -228,34 +273,24 @@ def build_hamiltonian(spec: SpinSystemSpec) -> np.ndarray:
     p, q in turn and its Zeeman term), so H is bitwise that sum.
     """
     n = spec.n_nuclei
-    axis = np.asarray(spec.zfs.axis, dtype=float)
-    bvec = spec.field.gauss * np.asarray(spec.field.direction, dtype=float)
-
-    # the ZFS square is a full-size product: BLAS rounds it differently at
-    # each matrix size, and the operator sum defines H at this size
-    eye = np.eye(2 ** n)
-    s_axis = np.kron(axis[0] * SX1 + axis[1] * SY1 + axis[2] * SZ1, eye)
-    h = spec.zfs.d_mhz * (s_axis @ s_axis)
-    h = h + np.kron(ELECTRON_MHZ_PER_GAUSS
-                    * (bvec[0] * SX1 + bvec[1] * SY1 + bvec[2] * SZ1), eye)
-
-    ix, iy, iz = _NUCLEAR_BLOCKS
-    zeeman = NUCLEAR_MHZ_PER_GAUSS * (bvec[0] * ix + bvec[1] * iy
-                                      + bvec[2] * iz)
-    for i, tens in enumerate(spec.hyperfine):
-        a = tens.tensor(axis)
+    h = _electron_terms(spec, 2 ** n)
+    for i, a in enumerate(spec.tensors):
         # register index (m_s, nuclei before i, m_I, nuclei after i) ->
         # one row of six per setting of the other nuclei
         idx = np.arange(3 * 2 ** n).reshape(3, 2 ** i, 2, -1) \
             .transpose(1, 3, 0, 2).reshape(-1, 6)
         rows, cols = idx[:, :, None], idx[:, None, :]
-        blocks = h[rows, cols]
-        for p in range(3):
-            for q in range(3):
-                if a[p, q] != 0.0:
-                    blocks = blocks + a[p, q] * _HYPERFINE_BLOCKS[p][q]
-        h[rows, cols] = blocks - zeeman
+        h[rows, cols] = _with_nucleus(h[rows, cols], a, spec)
     return h
+
+
+def single_nucleus_hamiltonians(spec: SpinSystemSpec) -> np.ndarray:
+    """(N, 6, 6) stack of the Hamiltonians of the electron with one nucleus
+    each: entry q is bitwise build_hamiltonian of the spec that keeps only
+    nucleus q."""
+    h = _electron_terms(spec, 2)
+    return _with_nucleus(np.broadcast_to(h, (spec.n_nuclei, 6, 6)),
+                         spec.tensors, spec)
 
 
 @dataclass(frozen=True)
@@ -267,17 +302,23 @@ class EigenSystem:
 
 
 def diagonalize(h: np.ndarray) -> EigenSystem:
-    """Exact diagonalization with a hermiticity guard and residual check."""
+    """Exact diagonalization with a hermiticity guard and residual check.
+
+    A stack of matrices (..., d, d) is solved by one stacked eigh, and the
+    guard and the check apply to each matrix against its own norm."""
     h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValidationError("Hamiltonian must be a square matrix")
-    scale = max(float(np.linalg.norm(h)), 1.0)
-    if np.linalg.norm(h - h.conj().T) > 1e-10 * scale:
+    scale = np.maximum(np.linalg.norm(h, axis=(-2, -1)), 1.0)
+    asym = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
+    if np.any(asym > 1e-10 * scale):
         raise ValidationError("Hamiltonian is not Hermitian")
     vals, vecs = np.linalg.eigh(h)
-    resid = np.linalg.norm(h @ vecs - vecs * vals)
-    if resid > 1e-8 * scale:
-        raise RuntimeError(f"eigensolver residual {resid:.3e} too large")
+    resid = np.linalg.norm(h @ vecs - vecs * vals[..., None, :],
+                           axis=(-2, -1))
+    if np.any(resid > 1e-8 * scale):
+        raise RuntimeError(
+            f"eigensolver residual {float(np.max(resid)):.3e} too large")
     return EigenSystem(values=vals, vectors=vecs)
 
 
@@ -345,21 +386,40 @@ class Spectrum:
             raise ValidationError("spectrum grid must be uniform increasing")
 
 
+def check_fwhm(fwhm_mhz: float) -> float:
+    """fwhm_mhz as a float, if it is a positive finite broadening."""
+    fwhm_mhz = float(fwhm_mhz)
+    if fwhm_mhz <= 0:
+        raise ValidationError("fwhm must be positive")
+    if not math.isfinite(fwhm_mhz):
+        raise ValidationError(f"fwhm must be finite, got {fwhm_mhz:g}")
+    return fwhm_mhz
+
+
 def synth_spectrum(lines, grid, fwhm_mhz) -> Spectrum:
     """Convolve a line list with unit-area Gaussians of the given FWHM.
 
     grid is (f_start, f_stop, step) in MHz. The integrated profile equals the
-    summed line intensities (up to grid truncation).
+    summed line intensities (up to grid truncation). A grid of more than
+    MAX_GRID_POINTS points is refused before anything is allocated.
     """
-    if fwhm_mhz <= 0:
-        raise ValidationError("fwhm must be positive")
+    fwhm_mhz = check_fwhm(fwhm_mhz)
     start, stop, step = (float(x) for x in grid)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValidationError(
+            f"grid values must be finite, got {start:g},{stop:g},{step:g}")
     if not (stop > start and step > 0):
         raise ValidationError("grid must satisfy stop > start, step > 0")
-    npts = int(np.floor((stop - start) / step + 0.5)) + 1
-    f = start + step * np.arange(npts)
+    count = np.floor((stop - start) / step + 0.5) + 1  # inf if step underflows
+    if count > MAX_GRID_POINTS:
+        raise ResourceLimitError(
+            f"grid {start:g},{stop:g},{step:g} has {count:.3g} points, "
+            f"~{count * BYTES_PER_GRID_POINT / 1e9:.3g} GB to synthesize and "
+            f"write (cap {MAX_GRID_POINTS:.0e} points, "
+            f"~{MAX_GRID_POINTS * BYTES_PER_GRID_POINT / 1e9:.2g} GB)")
+    f = start + step * np.arange(int(count))
     sigma = fwhm_mhz / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     centers = np.array([l.freq_mhz for l in lines], dtype=float)
     amps = np.array([l.intensity for l in lines], dtype=float)
     y = _kernels.gaussian_mixture(centers, amps, sigma, f)
-    return Spectrum(freq_mhz=f, intensity=y, fwhm_mhz=float(fwhm_mhz))
+    return Spectrum(freq_mhz=f, intensity=y, fwhm_mhz=fwhm_mhz)

@@ -1,38 +1,109 @@
-"""Per-level reference register for the tests: comparison states built one
-np.kron at a time, a greedy label loop over every sorted overlap with a
-per-level runner-up scan, the pulse-target validation as a loop over
-every level pair, and a dense propagator that exponentiates each item's
-full dim x dim Hamiltonian. It shares no label, validation or evolution
-code with nvbath.pulses; only the per-nucleus spinors
-(Register._electron_states and Register._nuclear_spinors) are taken from
-the register under test."""
+"""Per-level reference register for the tests: per-nucleus spinors from
+one build_hamiltonian + diagonalize per nucleus with a claim loop over the
+sorted manifold weights, comparison states built one np.kron at a time, a
+greedy label loop over every overlap in the order (overlap descending,
+comparison state, level) with a per-level runner-up scan, the pulse-target
+validation as a loop over every level pair, and a dense propagator that
+exponentiates each item's full dim x dim Hamiltonian. It shares no label,
+validation or evolution code with nvbath.pulses. reference_labels takes the
+spinors from the register under test (Register._electron_states and
+Register._nuclear_spinors), so that its labels are exact; reference_spinors
+checks those spinors."""
 
 import math
 
 import numpy as np
 
 import nvbath.pulses as pulses
+from nvbath.constants import NUCLEAR_MHZ_PER_GAUSS
 from nvbath.errors import AmbiguousTransitionError, ValidationError
+from nvbath.spinsys import (SX1, SY1, SZ1, SpinSystemSpec, build_hamiltonian,
+                            diagonalize)
 
 
-def reference_labels(register):
-    """(labels, overlaps, contrasts) of the register's levels."""
+def reference_electron_states(spec):
+    """{m_s: electron state along the ZFS axis}."""
+    axis = np.asarray(spec.zfs.axis, dtype=float)
+    vals, vecs = np.linalg.eigh(axis[0] * SX1 + axis[1] * SY1 + axis[2] * SZ1)
+    return {int(round(vals[k])): vecs[:, k] for k in range(3)}
+
+
+def _spinor_along(u):
+    theta = math.acos(max(-1.0, min(1.0, float(u[2]))))
+    phi = math.atan2(float(u[1]), float(u[0]))
+    return np.array([math.cos(theta / 2.0),
+                     math.sin(theta / 2.0) * np.exp(1j * phi)])
+
+
+def reference_spinors(spec):
+    """spinors[q][m_s] = (bit 0 spinor, bit 1 spinor) of nucleus q, each
+    nucleus solved alone: its levels join the manifolds in the order of
+    their electron weight (two per manifold), each manifold's pair is
+    orthonormalized, and bit 0 is the one closer to the +1/2 state along
+    the oriented first-order local field."""
+    evec = reference_electron_states(spec)
+    axis = np.asarray(spec.zfs.axis, dtype=float)
+    bdir = np.asarray(spec.field.direction, dtype=float)
+    b_mhz = spec.field.gauss * NUCLEAR_MHZ_PER_GAUSS
+    spinors = []
+    for tens in spec.hyperfine:
+        one = SpinSystemSpec(zfs=spec.zfs, field=spec.field,
+                             hyperfine=(tens,))
+        vecs = diagonalize(build_hamiltonian(one)).vectors
+        proj = {ms: np.kron(evec[ms].conj(), np.eye(2)) for ms in (1, 0, -1)}
+        claims = sorted(
+            ((float(np.linalg.norm(proj[ms] @ vecs[:, k]) ** 2), ms, k)
+             for ms in (1, 0, -1) for k in range(6)), reverse=True)
+        members = {1: [], 0: [], -1: []}
+        taken = set()
+        for _, ms, k in claims:
+            if k not in taken and len(members[ms]) < 2:
+                members[ms].append(k)
+                taken.add(k)
+        by_ms = {}
+        for ms in (1, 0, -1):
+            c = [proj[ms] @ vecs[:, k] for k in sorted(members[ms])]
+            c[0] = c[0] / np.linalg.norm(c[0])
+            c[1] = c[1] - (c[0].conj() @ c[1]) * c[0]
+            c[1] = c[1] / np.linalg.norm(c[1])
+            p = ms * (axis @ tens.tensor(axis)) - b_mhz * bdir
+            norm = np.linalg.norm(p)
+            u = p / norm if norm > 1e-12 else axis.copy()
+            for ref in (bdir, axis, np.array([0.0, 0.0, 1.0])):
+                if abs(float(u @ ref)) > 1e-9:
+                    u = u if u @ ref > 0 else -u
+                    break
+            up = _spinor_along(u)
+            if abs(up.conj() @ c[1]) ** 2 > abs(up.conj() @ c[0]) ** 2:
+                c = [c[1], c[0]]
+            by_ms[ms] = (c[0], c[1])
+        spinors.append(by_ms)
+    return spinors
+
+
+def reference_labels(register, reverse_ties=False):
+    """(labels, overlaps, contrasts) of the register's levels; with
+    reverse_ties, exact ties go to the higher (comparison state, level)
+    instead."""
     n, dim = register.n_nuclei, register.dim
     evec = register._electron_states()
     spinors = register._nuclear_spinors(evec)
     states, prod_labels = [], []
-    for ms in (1, 0, -1):
+    for m, ms in enumerate((1, 0, -1)):
         for nn in range(2 ** n):
             bits = tuple((nn >> (n - 1 - q)) & 1 for q in range(n))
-            v = evec[ms]
+            v = evec[:, m]
             for q, b in enumerate(bits):
-                v = np.kron(v, spinors[q][ms][b])
+                v = np.kron(v, spinors[q, m, :, b])
             states.append(v)
             prod_labels.append((ms, bits))
     basis = np.array(states).T
     overlap = np.abs(basis.conj().T @ register.eig.vectors) ** 2
-    order = np.dstack(np.unravel_index(
-        np.argsort(overlap, axis=None)[::-1], overlap.shape))[0]
+    # stable sort of -overlap: ties in (comparison state, level) order
+    flat = np.argsort(-overlap, axis=None, kind="stable")
+    if reverse_ties:
+        flat = np.lexsort((-np.arange(overlap.size), -overlap.ravel()))
+    order = np.dstack(np.unravel_index(flat, overlap.shape))[0]
     labels = [None] * dim
     fidelity = np.zeros(dim)
     contrast = np.zeros(dim)

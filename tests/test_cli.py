@@ -1,5 +1,6 @@
 """End-to-end command line runs: exit codes, determinism, file contents."""
 
+import hashlib
 import json
 import math
 import re
@@ -347,6 +348,105 @@ def test_pulse_rabi_sweep(tmp_path, capsys):
     rows = read_rows(tmp_path / "rabi.csv")
     assert len(rows) == 41
     assert abs(float(rows[0]["population"])) <= 1e-12
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["spectrum", "--fwhm", "inf"], "fwhm"),
+    (["spectrum", "--fwhm", "nan"], "fwhm"),
+    (["spectrum", "--grid", "2800,nan,0.1"], "grid"),
+    (["pulse", "--first-shell", "0", "--rabi", "mw", "0", "3",
+      "--power", "nan"], "--power"),
+    (["pulse", "--first-shell", "0", "--rabi", "mw", "0", "3",
+      "--power", "inf"], "--power"),
+    (["pulse", "--first-shell", "0", "--rabi", "mw", "0", "3",
+      "--t-max", "inf"], "--t-max")])
+def test_non_finite_spectrum_and_rabi_inputs_exit_two(tmp_path, capsys,
+                                                      argv, name):
+    assert main(argv + ["--field", "83", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {name}")
+    assert "finite" in err[0]
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
+def test_fwhm_is_checked_before_diagonalizing(tmp_path, monkeypatch):
+    calls = []
+    diagonalize = nvbath.spinsys.diagonalize
+    monkeypatch.setattr(nvbath.spinsys, "diagonalize",
+                        lambda h: calls.append(h.shape) or diagonalize(h))
+    for fwhm in ("inf", "nan", "0"):
+        assert main(["spectrum", "--first-shell", "0,120", "--third-shell",
+                     "3", "--fwhm", fwhm, "--out-dir", str(tmp_path)]) == 2
+    assert calls == []
+
+
+def test_spectrum_grid_over_the_cap_exits_two(tmp_path, capsys,
+                                             monkeypatch):
+    monkeypatch.setattr(nvbath.spinsys, "MAX_GRID_POINTS", 1000)
+    assert main(["spectrum", "--field", "83", "--grid", "2800,2900,0.1",
+                 "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid") and "1e+03 points" in err
+    assert "GB" in err and "cap" in err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
+# One 6-nucleus register (dim 192) through spectrum, pulse --sequence and
+# pulse --rabi. The digests were recorded from the output of the code
+# before the register labels became array operations (numpy 2.4,
+# OpenBLAS 0.3), which these files must keep byte for byte.
+GOLDEN_CONFIG = {"field_gauss": 83.7, "nuclei": [
+    {"shell": 1, "azimuth_deg": 37.5}, {"shell": 3},
+    {"a_par_mhz": 8.0, "a_perp_mhz": 6.0, "polar_deg": 55.0,
+     "azimuth_deg": 20.0},
+    {"a_par_mhz": 4.5, "a_perp_mhz": 3.5, "polar_deg": 120.0,
+     "azimuth_deg": 200.0},
+    {"a_par_mhz": 2.2, "a_perp_mhz": 1.4, "polar_deg": 80.0,
+     "azimuth_deg": 310.0},
+    {"a_par_mhz": 1.1, "a_perp_mhz": 0.6, "polar_deg": 140.0,
+     "azimuth_deg": 95.0}]}
+GOLDEN_SEQUENCE = """\
+MW 16 112 1.5707963267948966 0.3
+WAIT 0.2
+MW 16 112 3.141592653589793 1.1
+WAIT 0.4
+MW 16 112 3.141592653589793 2.0
+WAIT 0.2
+MW 16 112 1.5707963267948966 0.7
+WAIT 0.5
+RF 19 24 1.5707963267948966 0.1
+WAIT 0.3
+RF 19 24 3.141592653589793 0.9 dur=4.5
+WAIT 0.6
+RF 19 24 3.141592653589793 1.7
+WAIT 0.3
+RF 19 24 1.5707963267948966 2.4
+WAIT 0.25
+MW 24 124 3.141592653589793 0.0
+"""
+GOLDEN_SHA256 = {
+    "spectrum_lines.csv":
+        "7dca510dfccc5482e42485eb972ea46f43f866fb659c775fb26254b1cf20d15f",
+    "spectrum.csv":
+        "616afeba2a2343a9a3101c26316f6a63198fc91fb35c78b977bbf9e5b9f64203",
+    "populations.csv":
+        "480a6fb149fb4980d754ad7ba7431069d330de4e4f6d9f07e120a506af18254e",
+    "rabi.csv":
+        "99f1f6f247698ebe8423f9cccb84e6180b2e8b0867fddb93194c4bb054ff29e8",
+}
+
+
+def test_register_commands_write_golden_bytes(tmp_path):
+    cfg, seq = tmp_path / "register.json", tmp_path / "seq.txt"
+    cfg.write_text(json.dumps(GOLDEN_CONFIG))
+    seq.write_text(GOLDEN_SEQUENCE)
+    out = ["--config", str(cfg), "--out-dir", str(tmp_path)]
+    assert main(["spectrum"] + out) == 0
+    assert main(["pulse", "--sequence", str(seq)] + out) == 0
+    assert main(["pulse", "--rabi", "rf", "19", "24", "--t-max", "8",
+                 "--points", "101", "--power", "1.3"] + out) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GOLDEN_SHA256} == GOLDEN_SHA256
 
 
 def test_pulse_rabi_thread_count_does_not_change_output(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import nvbath.pulses as pulses_mod
 from register_reference import (reference_evolve, reference_labels,
-                                reference_validate)
+                                reference_spinors, reference_validate)
 from nvbath.errors import AmbiguousTransitionError, ValidationError
 from nvbath.pulses import (
     BELL_VARIANTS,
@@ -315,6 +315,48 @@ def test_rabi_curve_shape_and_power_scaling():
     assert abs(om_weak / om_rf - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("power, t_max, match", [
+    (math.nan, 2.0, "power must be finite"),
+    (math.inf, 2.0, "power must be finite"),
+    (1.0, math.inf, "times must be finite")])
+def test_rabi_rejects_non_finite_power_and_times(power, t_max, match):
+    reg = make_register()
+    i, j = reg.level(0, (0, 0)), reg.level(-1, (0, 0))
+    with pytest.raises(ValidationError, match=match):
+        rabi_simulate(reg, "mw", i, j, [0.0, 1.0, t_max], power)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 12), levels=st.integers(1, 4))
+def test_mutual_maxima_assign_as_the_ordered_greedy(data, dim, levels):
+    """On matrices with many exact ties, each column gets the row that the
+    greedy gives it when it visits entries in (value descending, row,
+    column) order."""
+    values = data.draw(st.lists(st.integers(0, levels - 1),
+                                min_size=dim * dim, max_size=dim * dim))
+    overlap = np.array(values, dtype=float).reshape(dim, dim) / levels
+    expect = np.full(dim, -1)
+    used = set()
+    for flat in sorted(range(dim * dim),
+                       key=lambda f: (-overlap.flat[f], f)):
+        p, k = divmod(flat, dim)
+        if expect[k] < 0 and p not in used:
+            expect[k] = p
+            used.add(p)
+    assert pulses_mod._assign_by_mutual_maxima(overlap).tolist() \
+        == expect.tolist()
+
+
+def test_label_codes_name_the_labels():
+    reg = make_register()
+    n = reg.n_nuclei
+    for code, (ms, bits) in zip(reg.label_codes.tolist(), reg.labels):
+        assert ms == 1 - code // 2 ** n
+        assert bits == tuple((code % 2 ** n) >> (n - 1 - q) & 1
+                             for q in range(n))
+    assert sorted(reg.label_codes.tolist()) == list(range(reg.dim))
+
+
 def test_sequence_grammar_round_trip():
     reg = make_register()
     seq = (bell_sequence(reg, "psi_plus")
@@ -422,6 +464,41 @@ def test_labels_match_reference(reg):
     assert reg.labels == labels
     assert np.array_equal(reg.label_overlap, overlap)
     assert np.array_equal(reg.label_contrast, contrast)
+
+
+def _projector(v):
+    return np.outer(v, v.conj())
+
+
+@settings(max_examples=40, deadline=None)
+@given(reg=registers())
+def test_spinors_match_per_nucleus_reference(reg):
+    """The stacked single-nucleus solve gives each nucleus the spinors of
+    its own build_hamiltonian + diagonalize, up to phase."""
+    spinors = reg._nuclear_spinors(reg._electron_states())
+    assert spinors.shape == (reg.n_nuclei, 3, 2, 2)
+    for q, by_ms in enumerate(reference_spinors(reg.spec)):
+        for m, ms in enumerate((1, 0, -1)):
+            for b in (0, 1):
+                np.testing.assert_allclose(
+                    _projector(spinors[q, m, :, b]), _projector(by_ms[ms][b]),
+                    rtol=0, atol=1e-12)
+
+
+def test_exact_label_ties_go_to_the_lower_comparison_state():
+    """At zero field, three equal first-shell nuclei give levels whose
+    overlaps with two comparison states are exactly equal; the labels take
+    such ties in (overlap descending, comparison state, level) order, and
+    the reversed tie order would label this register differently."""
+    reg = Register(SpinSystemSpec(
+        zfs=ZfsParams.along((1.0, 1.0, 1.0)),
+        field=ZeemanField.along((0.0, 0.0, 1.0), 0.0),
+        hyperfine=(first_shell_tensor(120.0),) * 3 + (first_shell_tensor(),)))
+    labels, overlap, contrast = reference_labels(reg)
+    assert reg.labels == labels
+    assert np.array_equal(reg.label_overlap, overlap)
+    assert np.array_equal(reg.label_contrast, contrast)
+    assert reference_labels(reg, reverse_ties=True)[0] != labels
 
 
 @settings(max_examples=60, deadline=None)

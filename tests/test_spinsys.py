@@ -7,6 +7,7 @@ production builder is checked against a second derivation, not itself.
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from nvbath.constants import (BOHR_MAGNETON, G_ELECTRON_NV, G_NUCLEAR_C13,
                               NUCLEAR_MAGNETON, PLANCK_H)
-from nvbath.errors import ValidationError
+import nvbath.spinsys as spinsys
+from nvbath.errors import ResourceLimitError, ValidationError
 from nvbath.spinsys import (
     EigenSystem,
     HyperfineTensor,
@@ -25,6 +27,7 @@ from nvbath.spinsys import (
     diagonalize,
     esr_transitions,
     first_shell_tensor,
+    single_nucleus_hamiltonians,
     synth_spectrum,
     third_shell_tensor,
 )
@@ -109,6 +112,37 @@ def test_block_hamiltonian_equals_dense_sum(hyperfine, zfs_axis, direction,
     h = build_hamiltonian(spec)
     assert np.array_equal(h, reference_hamiltonian(spec))
     assert np.max(np.abs(h - h.conj().T)) <= 1e-15 * np.max(np.abs(h))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hyperfine=st.lists(_tensors, max_size=6), zfs_axis=_unit_vectors,
+       direction=_unit_vectors, gauss=st.floats(0.0, 2000.0))
+def test_single_nucleus_stack_is_each_one_nucleus_hamiltonian(
+        hyperfine, zfs_axis, direction, gauss):
+    spec = SpinSystemSpec(zfs=ZfsParams.along(zfs_axis),
+                          field=ZeemanField.along(direction, gauss),
+                          hyperfine=tuple(hyperfine))
+    stack = single_nucleus_hamiltonians(spec)
+    assert stack.shape == (len(hyperfine), 6, 6)
+    eig = diagonalize(stack)
+    for q, tens in enumerate(hyperfine):
+        one = SpinSystemSpec(zfs=spec.zfs, field=spec.field,
+                             hyperfine=(tens,))
+        assert np.array_equal(stack[q], build_hamiltonian(one))
+        alone = diagonalize(stack[q])
+        assert np.array_equal(eig.values[q], alone.values)
+        assert np.array_equal(eig.vectors[q], alone.vectors)
+
+
+def test_stacked_diagonalize_checks_every_matrix():
+    spec = SpinSystemSpec(field=FIELD_83, hyperfine=(first_shell_tensor(),
+                                                     third_shell_tensor()))
+    stack = single_nucleus_hamiltonians(spec).copy()
+    stack[1, 0, 1] += 1e-3  # the second matrix is not Hermitian
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        diagonalize(stack)
+    with pytest.raises(ValidationError, match="square"):
+        diagonalize(np.zeros((2, 6, 5)))
 
 
 def test_hamiltonian_is_hermitian():
@@ -212,6 +246,42 @@ def test_synth_spectrum_area_matches_line_sum():
     area = np.trapezoid(spectrum.intensity, spectrum.freq_mhz)
     assert abs(area - sum(l.intensity for l in lines)) <= 1e-6
     assert spectrum.intensity.min() >= 0.0
+
+
+@pytest.mark.parametrize("fwhm, grid, match", [
+    (math.inf, (2800.0, 2900.0, 0.1), "fwhm must be finite"),
+    (math.nan, (2800.0, 2900.0, 0.1), "fwhm must be finite"),
+    (0.0, (2800.0, 2900.0, 0.1), "fwhm must be positive"),
+    (1.0, (2800.0, math.nan, 0.1), "grid values must be finite"),
+    (1.0, (-math.inf, 2900.0, 0.1), "grid values must be finite"),
+    (1.0, (2900.0, 2800.0, 0.1), "stop > start")])
+def test_synth_spectrum_rejects_bad_broadening_and_grid(fwhm, grid, match):
+    lines = esr_transitions(SpinSystemSpec(field=FIELD_83))
+    with pytest.raises(ValidationError, match=match):
+        synth_spectrum(lines, grid, fwhm)
+
+
+def test_spectrum_grid_cap_trips_before_allocating(monkeypatch):
+    lines = esr_transitions(SpinSystemSpec(field=FIELD_83))
+    # one point over the cap first, which is cheap even if the cap failed
+    over = (2800.0, 2900.0, 100.0 / spinsys.MAX_GRID_POINTS)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="2e\\+06 points"):
+            synth_spectrum(lines, over, 1.0)
+        with pytest.raises(ResourceLimitError, match="1e\\+09 points"):
+            synth_spectrum(lines, (2800.0, 2900.0, 1e-7), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    with pytest.raises(ResourceLimitError, match="inf points"):
+        synth_spectrum(lines, (2800.0, 2900.0, 1e-310), 1.0)
+    # the cap counts points exactly: 10 steps are 11 points
+    monkeypatch.setattr(spinsys, "MAX_GRID_POINTS", 11)
+    assert len(synth_spectrum(lines, (0.0, 1.0, 0.1), 1.0).freq_mhz) == 11
+    with pytest.raises(ResourceLimitError):
+        synth_spectrum(lines, (0.0, 1.1, 0.1), 1.0)
 
 
 @pytest.mark.parametrize("gauss", [math.nan, math.inf, -math.inf])
