@@ -34,13 +34,17 @@ from .pulses import (BELL_VARIANTS, Register, bell_dephasing_fidelity,
                      bell_prepare_and_fidelity, endor_transfer,
                      parse_sequence, rabi_simulate, run_sequence)
 from .spinsys import (HyperfineTensor, SpinSystemSpec, ZeemanField,
-                      ZfsParams, check_fwhm, esr_transitions,
+                      ZfsParams, check_fwhm, check_grid, esr_transitions,
                       first_shell_tensor, synth_spectrum, third_shell_tensor)
 from . import svgplot
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+
+# tracemalloc peak per point: --rabi, --bell 260-341 B, linewidth 459-679 B
+MAX_SWEEP_POINTS = 700_000
+BYTES_PER_SWEEP_POINT = 700
 
 
 # ----- shared plumbing ----------------------------------------------------
@@ -139,6 +143,13 @@ def _numbers(value, name: str, size=None):
         raise ValidationError(f"config value {name} must be a list of "
                               f"{count}numbers, got {value!r}")
     return [_number(v, f"{name}[{k}]") for k, v in enumerate(value)]
+
+
+def _check_sweep(points: int, what: str):
+    if points > MAX_SWEEP_POINTS:
+        raise ResourceLimitError(
+            f"{what} {points} needs ~{points * BYTES_PER_SWEEP_POINT / 1e9:.2g}"
+            f" GB (cap {MAX_SWEEP_POINTS:.0e} points)")
 
 
 def _parse_floats(text: str, what: str):
@@ -246,15 +257,15 @@ def _system_from_config(cfg) -> SpinSystemSpec:
 
 
 def _nuclei_from_flags(args):
-    nuclei = None
-    if args.first_shell is not None or args.third_shell:
-        nuclei = []
-        if args.first_shell is not None:
-            for az in _parse_floats(args.first_shell, "--first-shell"):
-                nuclei.append({"shell": 1, "azimuth_deg": az})
-        for _ in range(args.third_shell or 0):
-            nuclei.append({"shell": 3})
-    return nuclei
+    third = args.third_shell or 0
+    if third < 0:
+        raise ValidationError(f"--third-shell must be nonnegative, got {third}")
+    if args.first_shell is None and not third:
+        return None
+    first = (_parse_floats(args.first_shell, "--first-shell")
+             if args.first_shell is not None else [])
+    return ([{"shell": 1, "azimuth_deg": az} for az in first]
+            + [{"shell": 3} for _ in range(third)])
 
 
 def _add_system_flags(sp):
@@ -291,17 +302,16 @@ def cmd_spectrum(args) -> int:
     spec = _system_from_config(cfg)
     floor = _number(cfg["intensity_floor"], "intensity_floor")
     fwhm = check_fwhm(_number(cfg["fwhm_mhz"], "fwhm_mhz"))
+    grid = cfg["grid_mhz"]
+    if grid is not None:
+        check_grid(_numbers(grid, "grid_mhz"))
     lines = esr_transitions(spec, window=window, floor=floor)
     if not lines:
         raise ValidationError("no transitions in the requested window")
-    grid = cfg["grid_mhz"]
     if grid is None:
         lo = min(l.freq_mhz for l in lines) - 5.0 * fwhm
         hi = max(l.freq_mhz for l in lines) + 5.0 * fwhm
         grid = (lo, hi, fwhm / 10.0)
-    elif len(_numbers(grid, "grid_mhz")) != 3:
-        raise ValidationError("grid needs exactly three values: "
-                              "start,stop,step")
     spectrum = synth_spectrum(lines, grid, fwhm)
     print(f"{len(lines)} lines; strongest "
           f"{max(lines, key=lambda l: l.intensity).freq_mhz:.4f} MHz")
@@ -348,6 +358,7 @@ def cmd_linewidth(args) -> int:
         if not (0.0 < n_min <= 1.0 and 0.0 < n_max <= 1.0 and n_points >= 1):
             raise ValidationError(
                 "need n_min and n_max in (0, 1] and n_points >= 1")
+        _check_sweep(n_points, "n_points")
         n_values = np.geomspace(n_min, n_max, n_points)
     if np.any(n_values <= 0.0) or np.any(n_values > 1.0):
         raise ValidationError("concentrations must lie in (0, 1]")
@@ -468,12 +479,14 @@ def _parse_init(register, text):
         raise ValidationError(
             f"--init names {len(bits)} nuclei; register has "
             f"{register.n_nuclei}")
+    register.check_label_gates(register.level(ms, bits))
     return register.pure_state(ms, bits)
 
 
 def cmd_pulse(args) -> int:
     if args.points < 1:
         raise ValidationError("--points must be at least 1")
+    _check_sweep(args.points, "--points")
     for flag, value in (("--t-max", args.t_max), ("--power", args.power)):
         if not math.isfinite(value):
             raise ValidationError(f"{flag} must be finite, got {value:g}")

@@ -153,9 +153,6 @@ class DecayFit:
     n_iter: int
     gradient_norm: float
 
-    def __getitem__(self, name):
-        return self.params[name]
-
 
 def fit_decay(curve: DecayCurve, model: str = "fid") -> DecayFit:
     """Damped least squares (Levenberg-style) fit of a decay model.
@@ -199,7 +196,6 @@ def fit_decay(curve: DecayCurve, model: str = "fid") -> DecayFit:
             converged = True
             break
         jtj = jac.T @ jac
-        stepped = False
         rel_step = 0.0
         for _ in range(40):
             try:
@@ -219,22 +215,17 @@ def fit_decay(curve: DecayCurve, model: str = "fid") -> DecayFit:
                     rel_drop = (ssr - ssr_new) / max(ssr, 1e-300)
                     p, ssr, r = cand, ssr_new, r_new
                     lam = max(lam / 3.0, 1e-14)
-                    stepped = True
                     if rel_step <= STEP_TOL or rel_drop <= SSR_TOL:
                         converged = True
                     break
             lam *= 3.0
-        if not stepped:
+        else:
             # damping saturated: the trust region shrank until the proposed
             # step was negligible, which is a step-size convergence
             converged = rel_step <= math.sqrt(STEP_TOL)
-            jac = w[:, None] * spec["jac"](t, p)
-            gnorm = float(np.max(np.abs(jac.T @ r)))
             break
         if converged:
             break
-    else:
-        it = MAX_ITER
 
     if not converged and gnorm > GRADIENT_TOL:
         raise FitError(
@@ -387,7 +378,7 @@ def pair_couplings(positions, p1, p2,
 
 def _occupied_cells(gen, cells: int, p: float) -> np.ndarray:
     """Sorted flat indices of the occupied cells among `cells` independent
-    cells, each occupied with probability p (0 <= p < 1).
+    cells, each occupied with probability p (0 <= p <= 1).
 
     The gap from one occupied cell to the next (the first counted from
     cell -1) is geometric, 1 + floor(log1p(-u) / log1p(-p)) for a uniform u
@@ -397,6 +388,8 @@ def _occupied_cells(gen, cells: int, p: float) -> np.ndarray:
     """
     if p == 0.0 or cells == 0:
         return np.empty(0, dtype=np.int64)
+    if p == 1.0:
+        return np.arange(cells)
     log_q = math.log1p(-p)
     ends, passed = [], 0.0
     while passed < cells:
@@ -462,13 +455,9 @@ def simulate_bath_fid(couplings: PairCouplings, kind: str, t_us,
     total = np.zeros(len(t))
     for start in range(0, n_samples, BATH_CHUNK_SAMPLES):
         m = min(BATH_CHUNK_SAMPLES, n_samples - start)
-        if p == 1.0:
-            spins = (gen.random((m, omega.size)) < 0.5) - 0.5
-        else:
-            cells = _occupied_cells(gen, m * omega.size, p)
-            spins = np.zeros(m * omega.size)
-            spins[cells] = (gen.random(cells.size) < 0.5) - 0.5
-            spins = spins.reshape(m, omega.size)
+        cells = _occupied_cells(gen, m * omega.size, p)
+        spins = np.zeros((m, omega.size))
+        spins.reshape(-1)[cells] = (gen.random(cells.size) < 0.5) - 0.5
         total += m * _kernels.phase_envelope(spins, omega, t)
     return DecayCurve(t_us=t, signal=total / n_samples)
 

@@ -69,6 +69,9 @@ def dipolar_linewidth_closed_form(
         n: float, coeff_cm6: float = DIPOLAR_COEFF_CM6) -> float:
     """Dipolar-model FWHM in Hz at 13C fraction n (closed form)."""
     check_concentration(n)
+    if not 0.0 < coeff_cm6 < math.inf:
+        raise ValidationError(f"dipolar coefficient must be positive and "
+                              f"finite, got {coeff_cm6:g}")
     return DIPOLAR_PREFACTOR_CM3_HZ * math.sqrt(coeff_cm6 * n)
 
 

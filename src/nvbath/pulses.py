@@ -203,6 +203,15 @@ class Register:
             raise ValidationError(f"no level labeled {key}")
         return self.index[key]
 
+    def check_label_gates(self, k: int):
+        """Refuse level k unless its label passes both label gates."""
+        overlap, contrast = self.label_overlap[k], self.label_contrast[k]
+        if overlap < MIN_LABEL_OVERLAP or contrast < MIN_LABEL_CONTRAST:
+            raise AmbiguousTransitionError(
+                f"level {k} is shared between product labels (overlap "
+                f"{overlap:.2f}, contrast {contrast:.2f}); its label does "
+                "not identify a single addressable level")
+
     def freq_mhz(self, i: int, j: int) -> float:
         return float(self.eig.values[j] - self.eig.values[i])
 
@@ -321,17 +330,9 @@ def _validate_target(register: Register, pulse: Pulse):
     dim = register.dim
     if not (0 <= pulse.i < dim and 0 <= pulse.j < dim):
         raise ValidationError(f"target pair ({pulse.i}, {pulse.j}) out of range")
-    lab_i = register.labels[pulse.i]
-    lab_j = register.labels[pulse.j]
-    bits_i, bits_j = lab_i[1], lab_j[1]
-    for k in (pulse.i, pulse.j):
-        if (register.label_overlap[k] < MIN_LABEL_OVERLAP
-                or register.label_contrast[k] < MIN_LABEL_CONTRAST):
-            raise AmbiguousTransitionError(
-                f"level {k} is shared between product labels (overlap "
-                f"{register.label_overlap[k]:.2f}, contrast "
-                f"{register.label_contrast[k]:.2f}); its label does not "
-                "identify a single addressable level")
+    lab_i, lab_j = register.labels[pulse.i], register.labels[pulse.j]
+    register.check_label_gates(pulse.i)
+    register.check_label_gates(pulse.j)
     lo, hi = sorted((pulse.i, pulse.j))
     target = lo * dim - lo * (lo + 1) // 2 + hi - lo - 1  # triu_indices order
     allowed = register._pair_allowed[pulse.channel]
@@ -363,10 +364,10 @@ def _validate_target(register: Register, pulse: Pulse):
         q, s = pulse.control
         if not 0 <= q < register.n_nuclei:
             raise ValidationError(f"control references missing qubit {q}")
-        if bits_i[q] != s or bits_j[q] != s:
+        if lab_i[1][q] != s or lab_j[1][q] != s:
             raise ValidationError(
                 f"control {q}:{s} contradicts the target labels "
-                f"{bits_i} / {bits_j}")
+                f"{lab_i[1]} / {lab_j[1]}")
 
 
 def _free_phases(register: Register, t_us: float) -> np.ndarray:
@@ -617,18 +618,14 @@ def bell_dephasing_fidelity(register: Register, variant: str, t_us,
     if not (np.all(np.isfinite(t)) and math.isfinite(detuning1_mhz)
             and math.isfinite(detuning2_mhz)):
         raise ValidationError("detunings and times must be finite")
-    pair = _bell_variant(register, variant)[0]
-    target = bell_target_vector(register, variant)
+    bits_a, bits_b = _bell_variant(register, variant)[0]
     # detuning phases only; the deterministic eigenphases are removed the
-    # way a rotating-frame readout removes them
-    l_a, l_b = (register.level(BELL_MS, bits) for bits in pair)
-    # m = 1/2 - bit, so m_a - m_b = bits_b - bits_a
-    dm = np.subtract(register.labels[l_b][1], register.labels[l_a][1])
+    # way a rotating-frame readout removes them. m = 1/2 - bit, so
+    # m_a - m_b = bits_b - bits_a
+    dm = np.subtract(bits_b, bits_a)
     rel = 2.0 * math.pi * float(np.dot([detuning1_mhz, detuning2_mhz], dm)) * t
-    # <target| rho |target> for rho = |target><target| with its two
-    # coherences rho[l_a, l_b], rho[l_b, l_a] turned by exp(-+i rel)
-    pa, pb = abs(target[l_a]) ** 2, abs(target[l_b]) ** 2
-    return pa * pa + pb * pb + 2.0 * pa * pb * np.cos(rel)
+    # half the target on each level, coherences turned by exp(-+i rel)
+    return 0.5 * (1.0 + np.cos(rel))
 
 
 # ----- Rabi oscillations --------------------------------------------------
@@ -651,14 +648,14 @@ def rabi_frequency_mhz(register: Register, channel: str, i: int, j: int,
         raise ValidationError(f"channel must be one of {CHANNELS}")
     if channel == "mw":
         return KAPPA_MW_MHZ * math.sqrt(power)
-    bits_i = register.labels[i][1]
-    bits_j = register.labels[j][1]
-    flipped = [q for q, (a, b) in enumerate(zip(bits_i, bits_j)) if a != b]
-    if len(flipped) != 1:
+    n = register.n_nuclei
+    flips = int(register.label_codes[i] ^ register.label_codes[j]) % 2 ** n
+    if flips == 0 or flips & (flips - 1):
         raise ValidationError("RF Rabi needs a single-nucleus transition")
-    tens = register.spec.hyperfine[flipped[0]]
-    a_eff = tens.secular_magnitude(np.asarray(register.spec.zfs.axis))
-    return KAPPA_RF_PER_MHZ * a_eff * math.sqrt(power)
+    # the flipped nucleus's tensor row along the ZFS axis (nucleus 0: top bit)
+    row = register.spec.tensors[n - flips.bit_length()] \
+        @ np.asarray(register.spec.zfs.axis)
+    return KAPPA_RF_PER_MHZ * float(np.linalg.norm(row)) * math.sqrt(power)
 
 
 def rabi_simulate(register: Register, channel: str, i: int, j: int, t_us,

@@ -161,12 +161,6 @@ class HyperfineTensor:
         return self.a_perp_mhz * np.eye(3) \
             + (self.a_par_mhz - self.a_perp_mhz) * np.outer(u, u)
 
-    def secular_magnitude(self, zfs_axis):
-        """|row of the tensor along the ZFS axis| (MHz): the effective
-        splitting a nucleus produces on the m_s = +-1 ESR branches."""
-        a = self.tensor(zfs_axis)
-        return float(np.linalg.norm(a @ np.asarray(zfs_axis, dtype=float)))
-
 
 def first_shell_tensor(azimuth_deg=0.0):
     """Hyperfine tensor of a nearest-neighbor 13C (three sites at azimuths
@@ -396,14 +390,11 @@ def check_fwhm(fwhm_mhz: float) -> float:
     return fwhm_mhz
 
 
-def synth_spectrum(lines, grid, fwhm_mhz) -> Spectrum:
-    """Convolve a line list with unit-area Gaussians of the given FWHM.
-
-    grid is (f_start, f_stop, step) in MHz. The integrated profile equals the
-    summed line intensities (up to grid truncation). A grid of more than
-    MAX_GRID_POINTS points is refused before anything is allocated.
-    """
-    fwhm_mhz = check_fwhm(fwhm_mhz)
+def check_grid(grid):
+    """(start, step, count) of a grid (f_start, f_stop, step) in MHz of
+    finite values, running upward, of at most MAX_GRID_POINTS points."""
+    if len(grid) != 3:
+        raise ValidationError("grid needs exactly three values: start,stop,step")
     start, stop, step = (float(x) for x in grid)
     if not all(map(math.isfinite, (start, stop, step))):
         raise ValidationError(
@@ -417,7 +408,19 @@ def synth_spectrum(lines, grid, fwhm_mhz) -> Spectrum:
             f"~{count * BYTES_PER_GRID_POINT / 1e9:.3g} GB to synthesize and "
             f"write (cap {MAX_GRID_POINTS:.0e} points, "
             f"~{MAX_GRID_POINTS * BYTES_PER_GRID_POINT / 1e9:.2g} GB)")
-    f = start + step * np.arange(int(count))
+    return start, step, int(count)
+
+
+def synth_spectrum(lines, grid, fwhm_mhz) -> Spectrum:
+    """Convolve a line list with unit-area Gaussians of the given FWHM.
+
+    grid is (f_start, f_stop, step) in MHz, checked by check_grid before
+    anything is allocated. The integrated profile equals the summed line
+    intensities (up to grid truncation).
+    """
+    fwhm_mhz = check_fwhm(fwhm_mhz)
+    start, step, count = check_grid(grid)
+    f = start + step * np.arange(count)
     sigma = fwhm_mhz / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     centers = np.array([l.freq_mhz for l in lines], dtype=float)
     amps = np.array([l.intensity for l in lines], dtype=float)

@@ -22,8 +22,6 @@ _ML, _MR, _MT, _MB = 72, 20, 36, 52
 def _nice_ticks(lo: float, hi: float, target: int = 6):
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError("axis limits must be finite")
-    if hi <= lo:
-        hi = lo + (abs(lo) if lo else 1.0)
     span = hi - lo
     raw = span / max(target - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
@@ -41,8 +39,6 @@ def _nice_ticks(lo: float, hi: float, target: int = 6):
 
 
 def _log_ticks(lo: float, hi: float):
-    if lo <= 0:
-        raise ValidationError("log axis requires positive values")
     ticks = []
     d = math.floor(math.log10(lo))
     while 10.0 ** d <= hi * (1 + 1e-12):
@@ -65,8 +61,6 @@ def _fmt(v: float) -> str:
 class _Axis:
     def __init__(self, lo, hi, pix_lo, pix_hi, log):
         if log:
-            if lo <= 0:
-                raise ValidationError("log axis requires positive values")
             self.lo, self.hi = math.log10(lo), math.log10(hi)
         else:
             self.lo, self.hi = lo, hi
@@ -116,9 +110,9 @@ def render_plot(series, xlabel: str = "", ylabel: str = "", title: str = "",
     font = 'font-family="sans-serif"'
 
     xticks = (_log_ticks(min(xs), max(xs)) if logx
-              else _nice_ticks(min(xs), max(xs)))
+              else _nice_ticks(x_axis.lo, x_axis.hi))
     yticks = (_log_ticks(min(ys), max(ys)) if logy
-              else _nice_ticks(y_lo, y_hi))
+              else _nice_ticks(y_axis.lo, y_axis.hi))
     for tv in xticks:
         px = x_axis.to_pix(tv)
         out.append(f'<line x1="{px:.1f}" y1="{_MT}" x2="{px:.1f}" '

@@ -1,6 +1,8 @@
 """End-to-end command line runs: exit codes, determinism, file contents."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
@@ -337,6 +339,26 @@ def test_pulse_sequence_rejects_non_finite_values(tmp_path, capsys, line,
     assert not (tmp_path / "populations.csv").exists()
 
 
+def test_init_refuses_a_level_whose_label_fails_the_gates(tmp_path, capsys):
+    # two equivalent first-shell nuclei: the m_s = 0 levels with one flipped
+    # nucleus are 50/50 hybrids of (0, 01) and (0, 10)
+    seq = tmp_path / "one.seq"
+    seq.write_text("WAIT 1.0\n")
+    register = Register(SpinSystemSpec(field=ZeemanField(83.0), hyperfine=(
+        first_shell_tensor(), first_shell_tensor())))
+    level = register.level(0, (0, 1))
+    assert register.label_contrast[level] < 1.5
+    assert main(["pulse", "--field", "83", "--first-shell", "0,0",
+                 "--sequence", str(seq), "--init=0:01",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: level {level} is shared between product labels (overlap "
+        f"{register.label_overlap[level]:.2f}, contrast "
+        f"{register.label_contrast[level]:.2f}); its label does not "
+        "identify a single addressable level"]
+    assert not (tmp_path / "populations.csv").exists()
+
+
 def test_pulse_rabi_sweep(tmp_path, capsys):
     reg = cli_register()
     i, j = reg.level(0, (0, 0)), reg.level(-1, (0, 0))
@@ -377,6 +399,24 @@ def test_fwhm_is_checked_before_diagonalizing(tmp_path, monkeypatch):
     for fwhm in ("inf", "nan", "0"):
         assert main(["spectrum", "--first-shell", "0,120", "--third-shell",
                      "3", "--fwhm", fwhm, "--out-dir", str(tmp_path)]) == 2
+    assert calls == []
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("2800,inf,0.1", "grid values must be finite"),
+    ("2900,2800,0.1", "grid must satisfy stop > start"),
+    ("2800,2900,1e-7", "grid 2800,2900,1e-07 has 1e+09 points"),
+    ("2800,2900", "grid needs exactly three values")])
+def test_explicit_grid_is_checked_before_diagonalizing(tmp_path, capsys,
+                                                      monkeypatch, grid,
+                                                      message):
+    calls = []
+    diagonalize = nvbath.spinsys.diagonalize
+    monkeypatch.setattr(nvbath.spinsys, "diagonalize",
+                        lambda h: calls.append(h.shape) or diagonalize(h))
+    assert main(["spectrum", "--first-shell", "0,120", "--third-shell", "3",
+                 "--grid", grid, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert calls == []
 
 
@@ -447,6 +487,108 @@ def test_register_commands_write_golden_bytes(tmp_path):
                  "--points", "101", "--power", "1.3"] + out) == 0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in GOLDEN_SHA256} == GOLDEN_SHA256
+
+
+# Every other subcommand, run once each. The digests of each command's
+# files and of its stdout (with the output directory replaced by OUT) were
+# recorded from the code before the bath draw lost its dense p = 1 branch
+# (numpy 2.4, OpenBLAS 0.3).
+GOLDEN_COMMANDS = {
+    "spectrum": ["spectrum", "--field", "83", "--first-shell", "0,120",
+                 "--window", "2400,3300", "--plot"],
+    "linewidth-lattice": ["linewidth", "--from-lattice", "16", "--plot",
+                          "--overlay", "{overlay}"],
+    "linewidth-max": ["linewidth", "--concentrations", "0.001,0.011,0.2,1",
+                      "--regime", "max"],
+    "fit-fid": ["fit", "--model", "fid", "--plot", "--input", "{fid}"],
+    "fit-echo": ["fit", "--model", "echo", "--input", "{echo}"],
+    "bath": ["bath", "--radius", "12", "--concentration", "0.05",
+             "--seed", "5"],
+    "bell": ["pulse", "--first-shell", "0", "--third-shell", "1",
+             "--bell", "psi_minus", "--detune", "0.2,-0.1"],
+    "endor": ["pulse", "--first-shell", "0", "--third-shell", "1",
+              "--endor", "1"],
+    "rabi": ["pulse", "--first-shell", "0", "--third-shell", "1",
+             "--rabi", "rf", "4", "6", "--power", "4"],
+}
+GOLDEN_COMMAND_SHA256 = {
+    "bath/bath_sites.csv":
+        "2a8cbb0e270db2a15304fd858a784671859e825e40813a29034c4973373c9109",
+    "bath/stdout":
+        "bf8e8e75648ee09bc5d4970cc4764062e8234ebf0d3460c28d6d350482bd40f7",
+    "bell/bell_dephasing.csv":
+        "376bc62804fca064fd51bef930b7399bd13f371c981c0ebdbeba4a1942869aa7",
+    "bell/stdout":
+        "c2c0122789df2cde511c6b47f767dd495e329403f900a1bad22a83dec22dcea5",
+    "endor/stdout":
+        "47dc5f13075fac8a464adb1078e1e6ef415e0e28fcb3ea75356757abf37d44b5",
+    "fit-echo/fit_echo.csv":
+        "564e96d2d7657bc988367af7075dd5988b47223bf4de95f6d75afd64be01d403",
+    "fit-echo/stdout":
+        "ac216a20c35821775ba3ab68abc4829d94adc647703a1c8d13b26ca698ffdfe2",
+    "fit-fid/fit_fid.csv":
+        "f6f3c358ccb0f60eeb4f1dd4bce9f82566b1b46410548d12133db68ebb9bd3cb",
+    "fit-fid/fit_fid.svg":
+        "f274429e0275e927a42172f73ebbf54967b6a959e3217ee4f49b0cfd3a03cc6e",
+    "fit-fid/stdout":
+        "8ef51714527cf4e286816e1a48714058e84989ede9ed912b491789a186cffaa0",
+    "linewidth-lattice/linewidth.csv":
+        "6ca548f6df2e21793b878a67e3231cf472122086fe83e8142372949a91c5d1ed",
+    "linewidth-lattice/linewidth.svg":
+        "09e38b2e6a6bfc013af159ec0ffc3919916ab8f782bbd4c8d4ecce72033fd1b5",
+    "linewidth-lattice/stdout":
+        "174d973340b1324586d61a09411d0f8d598f37fa6c40d750a57f72d766799d76",
+    "linewidth-max/linewidth.csv":
+        "777869d5d4c387bd7583891146b4477858049d73a82fbfdb433fd21ee25757ff",
+    "linewidth-max/stdout":
+        "26f53545d374e6a4e884674fb8d6c2f9432ea3a54d504b7f9d56e267d5ceac57",
+    "rabi/rabi.csv":
+        "ca0ea21daeae51427757a15c9f2e4334e493e51901783960d4a3a7a8f92f6dc3",
+    "rabi/stdout":
+        "8deb858294053f09a50db71fbf5a718c81ab7db293ac3bf358795cf4fa0199d2",
+    "spectrum/spectrum.csv":
+        "c936c5673856408574bd19ec48508df3c0cdc865ce085525c3bbf1b9be5693d6",
+    "spectrum/spectrum.svg":
+        "b81280527bdf2f9fadd8fdb16feac9b97af31db94952e9c85ebbef70440eb67b",
+    "spectrum/spectrum_lines.csv":
+        "bcf97b33830cf30796b8073febf80f4932be67c14f69eca2bbe29c93f751a3ad",
+    "spectrum/stdout":
+        "a0a38ea53de7df1e5acfc5dd8d7e3269a159b740e5123e071d9d9f57bc44a76d",
+}
+
+
+def golden_command_digests(tmp_path):
+    """SHA-256 of each GOLDEN_COMMANDS run's stdout and files, keyed
+    'command/stdout' and 'command/file'."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "overlay.csv").write_text("n,w_mhz\n0.011,0.3\n0.1,2.5\n")
+    noise = np.random.default_rng(11).normal(0.0, 0.01, (2, 90))
+    t = np.linspace(0.0, 30.0, 90)
+    for name, y in (("fid", fid_model(t, 9.0, 0.8, 0.6, 0.3) + noise[0]),
+                    ("echo", 0.1 + 0.7 * np.exp(-(t / 12.0) ** 3)
+                     + noise[1])):
+        (inputs / f"{name}.csv").write_text("".join(
+            f"{tt:.17g},{yy:.17g}\n" for tt, yy in zip(t, y)))
+    digests = {}
+    for key, argv in GOLDEN_COMMANDS.items():
+        out = tmp_path / key
+        argv = [a.format(**{n: inputs / f"{n}.csv"
+                            for n in ("overlay", "fid", "echo")})
+                for a in argv]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv + ["--out-dir", str(out)]) == 0
+        files = {"stdout": stdout.getvalue().replace(str(out), "OUT")
+                 .encode()}
+        files.update((p.name, p.read_bytes()) for p in out.glob("*"))
+        digests.update((f"{key}/{name}", hashlib.sha256(data).hexdigest())
+                       for name, data in files.items())
+    return digests
+
+
+def test_every_subcommand_writes_golden_bytes(tmp_path):
+    assert golden_command_digests(tmp_path) == GOLDEN_COMMAND_SHA256
 
 
 def test_pulse_rabi_thread_count_does_not_change_output(tmp_path):
@@ -541,6 +683,65 @@ def test_malformed_numbers_exit_two(tmp_path, capsys, argv, config, key):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["linewidth"], {"coeff_cm6": -1},
+     "dipolar coefficient must be positive and finite, got -1"),
+    (["linewidth"], {"coeff_cm6": 0},
+     "dipolar coefficient must be positive and finite, got 0"),
+    (["linewidth"], {"coeff_cm6": "nan"},
+     "dipolar coefficient must be positive and finite, got nan"),
+    (["linewidth"], {"coeff_cm6": "inf"},
+     "dipolar coefficient must be positive and finite, got inf"),
+    (["pulse", "--first-shell", "0", "--third-shell", "-2", "--endor", "0"],
+     None, "--third-shell must be nonnegative, got -2"),
+    (["spectrum", "--third-shell", "-1"], None,
+     "--third-shell must be nonnegative, got -1"),
+], ids=["coeff-negative", "coeff-zero", "coeff-nan", "coeff-inf",
+        "pulse-third-shell", "spectrum-third-shell"])
+def test_numbers_the_models_cannot_take_exit_two(tmp_path, capsys, argv,
+                                                 config, message):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, written", [
+    (["pulse", "--first-shell", "0", "--third-shell", "1", "--rabi", "mw",
+      "2", "4"], None, "rabi.csv"),
+    (["pulse", "--first-shell", "0", "--third-shell", "1", "--bell",
+      "psi_minus", "--detune", "0.2,-0.1"], None, "bell_dephasing.csv"),
+    (["linewidth"], {}, "linewidth.csv")], ids=["rabi", "bell", "linewidth"])
+def test_sweep_points_over_the_cap_exit_two(tmp_path, capsys, monkeypatch,
+                                            argv, config, written):
+    built = []
+    register = nvbath.cli.Register
+    monkeypatch.setattr(nvbath.cli, "Register",
+                        lambda spec: built.append(spec.dim) or register(spec))
+    monkeypatch.setattr(nvbath.cli, "MAX_SWEEP_POINTS", 1000)
+    path = tmp_path / "cfg.json"
+    for points in (1001, 1000):
+        if config is None:
+            extra = ["--points", str(points)]
+        else:
+            path.write_text(json.dumps({"n_points": points}))
+            extra = ["--config", str(path)]
+        code = main(argv + extra + ["--out-dir", str(tmp_path)])
+        if points == 1001:
+            assert code == 2 and built == []
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert "1001 needs ~" in err and "GB (cap 1e+03 points)" in err
+            assert not (tmp_path / written).exists()
+    assert code == 0
+    assert len(read_rows(tmp_path / written)) == 1000
 
 
 def test_bell_needs_two_nuclei_before_any_state(tmp_path, capsys):

@@ -368,6 +368,25 @@ def test_full_and_empty_bath_edges():
     assert np.all(empty.signal == 1.0)
 
 
+def test_bath_without_coupled_sites_is_exactly_one():
+    t = np.linspace(0.0, 3.0, 31) * 1e3
+    for couplings in (_two_site_couplings([], []),
+                      _two_site_couplings([0.0, 0.0], [0.0, 0.0])):
+        for occ in (None, 1.0, 0.0, 0.011, 0.3, 0.6):
+            for kind in _WEIGHTS:
+                env = simulate_bath_fid(couplings, kind, t, n_samples=300,
+                                        seed=5, occupancy=occ)
+                assert np.all(env.signal == 1.0)
+
+
+def test_full_occupancy_draws_no_gaps():
+    class NoDraws:
+        def random(self, k):
+            raise AssertionError("p = 1 needs no gaps")
+
+    assert np.array_equal(_occupied_cells(NoDraws(), 7, 1.0), np.arange(7))
+
+
 @settings(max_examples=60, deadline=None)
 @given(p=st.floats(0.0, 1.0), kind=st.sampled_from(sorted(_WEIGHTS)),
        seed=st.integers(0, 2 ** 128 - 1))

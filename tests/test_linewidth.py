@@ -138,6 +138,14 @@ def test_contact_site_set_validation():
     assert contact_linewidth(0.5, custom) > contact_linewidth(0.5)
 
 
+@pytest.mark.parametrize("coeff", [-1.0, 0.0, math.nan, math.inf])
+def test_dipolar_coefficient_must_be_positive_and_finite(coeff):
+    with pytest.raises(ValidationError, match="positive and finite"):
+        dipolar_linewidth_closed_form(0.011, coeff)
+    with pytest.raises(ValidationError, match="positive and finite"):
+        linewidth_curve([0.011, 0.1], coeff_cm6=coeff)
+
+
 def test_concentration_bounds():
     for fn in (contact_linewidth, dipolar_linewidth_closed_form):
         with pytest.raises(ValidationError):

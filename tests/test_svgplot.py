@@ -27,3 +27,17 @@ def test_legend_colour_is_the_series_colour():
         lines, legend = _colours(render_plot(series))
         assert lines == list(_PALETTE[:len(series)])
         assert legend == list(want)
+
+
+def test_an_empty_linear_range_is_widened_once():
+    # a single x value spans [x, 2x] (or [0, 1] at 0); the ticks follow
+    # the widened axis, so they sit inside the plot frame
+    def ticks(svg, anchor):
+        return re.findall(rf'text-anchor="{anchor}">([^<]*)</text>', svg)
+
+    svg = render_plot([{"x": [2.0], "y": [5.0]}])
+    assert ticks(svg, "middle") == ["2", "2.5", "3", "3.5", "4"]
+    assert ticks(svg, "end") == ["4.8", "4.9", "5", "5.1", "5.2"]
+    svg = render_plot([{"x": [0.0, 0.0], "y": [0.0, 0.0]}])
+    assert ticks(svg, "middle") == ["0", "0.2", "0.4", "0.6", "0.8", "1"]
+    assert ticks(svg, "end") == ["-0.04", "-0.02", "0", "0.02", "0.04"]
