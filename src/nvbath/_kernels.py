@@ -17,14 +17,10 @@ def second_moment_sum(pos, axis):
     return float(np.sum((1.0 - 3.0 * cos2) ** 2 / (r2 * r2 * r2)))
 
 
-def phase_envelope(weights, coups, t):
-    """Ensemble-averaged cos(theta_s * t) where theta_s = weights[s] . coups.
-
-    weights: (samples, sites) spin/occupancy draws; coups: (sites,) angular
-    frequencies (rad per time unit of t); t: (nt,) grid. Returns (nt,).
-    """
-    theta = weights @ coups
-    return np.cos(np.outer(theta, t)).mean(axis=0)
+def phase_envelope(theta, t):
+    """Sum over samples s of cos(theta[s] * t): theta (samples,) in rad per
+    time unit of t, t an (nt,) grid. Returns (nt,)."""
+    return np.cos(np.outer(theta, t)).sum(axis=0)
 
 
 # exp(-z^2/2) is exactly 0.0 in double precision beyond this many sigma

@@ -163,7 +163,9 @@ def fit_decay(curve: DecayCurve, model: str = "fid") -> DecayFit:
     step changes parameters by less than STEP_TOL relatively, or improves
     the SSR by less than SSR_TOL relatively (noisy data stalls the gradient
     above its tolerance while the iterate has long stopped moving). Hitting
-    MAX_ITER raises FitError carrying the last iterate.
+    MAX_ITER, a non-finite gradient, or a singular covariance (a variance
+    that is not finite and positive) raises FitError carrying the last
+    iterate.
     """
     if model not in MODELS:
         raise ValidationError(f"model must be one of {tuple(MODELS)}")
@@ -227,22 +229,23 @@ def fit_decay(curve: DecayCurve, model: str = "fid") -> DecayFit:
         if converged:
             break
 
-    if not converged and gnorm > GRADIENT_TOL:
-        raise FitError(
-            f"no convergence after {it} iterations (|grad| = {gnorm:.3e})",
-            last_params=dict(zip(spec["names"], p)), gradient_norm=gnorm)
-
     jac = w[:, None] * spec["jac"](t, p)
-    jtj = jac.T @ jac
-    dof = max(len(t) - npar, 1)
     try:
-        cov = np.linalg.inv(jtj) * (ssr / dof)
+        inv = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
-        cov = np.full((npar, npar), np.nan)
-    sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        inv = np.full((npar, npar), np.nan)
+    # NaN passes no tolerance test, so NaN gradients and variances end here
+    cov_ok = np.all(np.isfinite(inv)) and np.all(np.diag(inv) > 0)
+    if not (converged and math.isfinite(gnorm) and cov_ok):
+        raise FitError(
+            (f"no convergence after {it} iterations" if not converged
+             else "degenerate fit: singular parameter covariance")
+            + f" (|grad| = {gnorm:.3e})",
+            last_params=dict(zip(spec["names"], p)), gradient_norm=gnorm)
+    cov = inv * (ssr / max(len(t) - npar, 1))
     return DecayFit(model=model,
                     params=dict(zip(spec["names"], p)),
-                    sigmas=dict(zip(spec["names"], sig)),
+                    sigmas=dict(zip(spec["names"], np.sqrt(np.diag(cov)))),
                     covariance=cov, ssr=ssr, n_iter=it, gradient_norm=gnorm)
 
 
@@ -328,7 +331,7 @@ COHERENCE_WEIGHTS = {
 }
 
 MIN_BATH_SAMPLES = 100
-BATH_CHUNK_SAMPLES = 256    # samples per draw; bounds simulate_bath_fid memory
+BATH_CHUNK_SAMPLES = 256    # samples per draw; bounds the samples x t cosines
 ENVELOPE_FLOOR = 0.05       # fit_envelope_rate uses the points above it
 
 
@@ -420,14 +423,14 @@ def simulate_bath_fid(couplings: PairCouplings, kind: str, t_us,
     Only sites coupled to at least one register nucleus are drawn. The
     drawn sites do not depend on kind, so all kinds at one seed see the
     same bath. Samples are drawn BATH_CHUNK_SAMPLES at a time from one
-    Philox stream read in order, so memory is bounded whatever n_samples
-    is. In a chunk of m samples and n coupled sites, the occupied cells of
-    the flat m*n (sample, site) grid are drawn as geometric gaps
-    (_occupied_cells), then one uniform u per occupied cell, in cell order,
-    gives +1/2 if u < 1/2 and -1/2 otherwise; the cost grows with the
-    occupied cells, not with m*n. At p = 1 every cell is occupied and only
-    the signs are drawn; at p = 0 nothing is drawn. The chunk size changes
-    which uniforms fill which cells, but not the distribution of the draw.
+    Philox stream read in order. In a chunk of m samples and n coupled
+    sites, the occupied cells of the flat m*n (sample, site) grid are drawn
+    as geometric gaps (_occupied_cells), then one uniform per occupied cell,
+    in cell order, gives +1/2 below 1/2 and -1/2 otherwise; each sample's
+    phase rate sums spin * omega over its cells in site order. Memory per
+    chunk is O(occupied cells + m * len(t_us)). At p = 1 only the signs are
+    drawn; at p = 0 nothing is. The chunk size changes which uniforms fill
+    which cells, but not the distribution of the draw.
     """
     kind = kind.lower()
     if kind not in COHERENCE_WEIGHTS:
@@ -456,9 +459,10 @@ def simulate_bath_fid(couplings: PairCouplings, kind: str, t_us,
     for start in range(0, n_samples, BATH_CHUNK_SAMPLES):
         m = min(BATH_CHUNK_SAMPLES, n_samples - start)
         cells = _occupied_cells(gen, m * omega.size, p)
-        spins = np.zeros((m, omega.size))
-        spins.reshape(-1)[cells] = (gen.random(cells.size) < 0.5) - 0.5
-        total += m * _kernels.phase_envelope(spins, omega, t)
+        sample, site = np.divmod(cells, max(omega.size, 1))
+        signs = (gen.random(cells.size) < 0.5) - 0.5
+        theta = np.bincount(sample, weights=signs * omega[site], minlength=m)
+        total += _kernels.phase_envelope(theta, t)
     return DecayCurve(t_us=t, signal=total / n_samples)
 
 

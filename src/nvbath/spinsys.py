@@ -31,10 +31,10 @@ from .errors import DimensionLimitError, ResourceLimitError, ValidationError
 
 MAX_NUCLEI = 6
 MAX_GRID_POINTS = 2_000_000
-# Bound on the tracemalloc peak of `nvbath spectrum` per grid point;
-# measured 219-221 B at 1e5-4e5 points (numpy 2.4), reached while the CSV
-# rows are formatted, so the cap allows ~0.5 GB.
-BYTES_PER_GRID_POINT = 240
+# Bound on the tracemalloc peak of `nvbath spectrum --plot` per grid point;
+# measured 340-342 B at 1e5-4e5 points (230-231 B without --plot; numpy
+# 2.4), so the cap allows ~0.72 GB.
+BYTES_PER_GRID_POINT = 360
 
 # spin-1 operators, basis |m_s = +1>, |0>, |-1>
 SX1 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,22 @@ def test_fit_constant_data_is_numerical_failure(tmp_path, capsys):
     assert main(["fit", "--input", str(data),
                  "--out-dir", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("model, why", [("fid", "degenerate fit"),
+                                        ("echo", "no convergence")])
+def test_degenerate_fit_is_numerical_failure(tmp_path, capsys, model, why):
+    # a 1e-90 second sample pins the time-scale guess there: the echo
+    # Jacobian turns NaN, and the fid fit ends with a singular covariance
+    t = [0.0, 1e-90] + list(range(1, 40))
+    data = tmp_path / "degenerate.csv"
+    data.write_text("t_us,signal\n" + "".join(
+        f"{tt:.17g},{1.0 if k == 0 else 0.5}\n" for k, tt in enumerate(t)))
+    assert main(["fit", "--input", str(data), "--model", model,
+                 "--out-dir", str(tmp_path)]) == 3
+    assert f"numerical failure: {why}" in capsys.readouterr().err
+    assert not (tmp_path / f"fit_{model}.csv").exists()
 
 
 def test_fit_input_errors(tmp_path, capsys):
@@ -429,6 +446,21 @@ def test_spectrum_grid_over_the_cap_exits_two(tmp_path, capsys,
     assert err.startswith("error: grid") and "1e+03 points" in err
     assert "GB" in err and "cap" in err
     assert not (tmp_path / "spectrum.csv").exists()
+
+
+def test_spectrum_plot_peak_memory_is_within_the_grid_bound(tmp_path):
+    # one nucleus, so the grid (1e5 points) and not the register sets the
+    # peak; --plot is the costliest spectrum run
+    argv = ["spectrum", "--field", "83", "--first-shell", "0",
+            "--grid", "2600,3100,0.005", "--plot", "--out-dir", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= nvbath.spinsys.BYTES_PER_GRID_POINT * 100_001
 
 
 # One 6-nucleus register (dim 192) through spectrum, pulse --sequence and

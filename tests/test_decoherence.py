@@ -1,6 +1,7 @@
 """Decay models, the LM fitter, Bell dephasing rules and bath ensembles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +327,22 @@ def test_draw_is_gaps_then_signs_chunk_by_chunk():
         dense = np.cos(np.outer(theta, t)).mean(axis=0)
         np.testing.assert_allclose(env.signal, dense, rtol=0, atol=1e-12)
         assert env.signal[0] == 1.0
+
+
+def test_draw_memory_follows_the_occupied_cells():
+    # 256 samples x 20,000 coupled sites: a dense (sample, site) chunk
+    # alone would take 41 MB; at p = 0.01 about 51k cells are occupied
+    c1 = np.random.Generator(np.random.Philox(key=8)).uniform(0.1, 5.0, 20000)
+    couplings = _two_site_couplings(c1, np.zeros_like(c1))
+    t = np.linspace(0.0, 4000.0, 161)
+    tracemalloc.start()
+    try:
+        simulate_bath_fid(couplings, "sq1", t, n_samples=BATH_CHUNK_SAMPLES,
+                          seed=3, occupancy=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_occupied_cell_count_is_binomial():
