@@ -18,17 +18,17 @@ from .spinsys import (HyperfineTensor, SpinSystemSpec, Spectrum,
                       third_shell_tensor)
 from .lattice import (BathSample, Lattice, LatticeSite, classify_shells,
                       generate_lattice, sample_bath, shell_summary)
-from .linewidth import (ContactSiteSet, LinewidthPoint, contact_linewidth,
+from .linewidth import (LinewidthPoint, contact_linewidth,
                         dipolar_linewidth_closed_form,
                         dipolar_second_moment_sum, linewidth_curve,
                         linewidth_to_t2star, t2star_to_linewidth)
 from .decoherence import (BellT2Result, DecayCurve, DecayFit, ScalingModel,
-                          bell_t2star_from_sq, bell_t2star_intervals,
-                          fit_decay, fit_envelope_rate, fit_t2_scaling,
-                          pair_couplings, simulate_bath_fid)
+                          bell_t2star_from_sq, fit_decay,
+                          fit_envelope_rate, fit_t2_scaling, pair_couplings,
+                          simulate_bath_fid)
 from .pulses import (Pulse, Register, RegisterState, Wait,
                      bell_prepare_and_fidelity, bell_sequence,
-                     endor_transfer, hahn_echo_sequence, parse_sequence,
-                     rabi_simulate, run_sequence)
+                     endor_transfer, parse_sequence, rabi_simulate,
+                     run_sequence)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,7 +8,7 @@ reruns with equal inputs are byte-identical.
 
 Exit codes: 0 success, 2 invalid usage or malformed input (messages name the
 offending line where there is one), 3 numerical failure (non-convergent or
-degenerate fits).
+degenerate fits); a closed stdout drops the report, not the exit code.
 """
 
 from __future__ import annotations
@@ -48,6 +48,19 @@ BYTES_PER_SWEEP_POINT = 700
 
 
 # ----- shared plumbing ----------------------------------------------------
+
+
+def _say(line: str = None):
+    """Print line on stdout, or flush stdout when line is None. A closed
+    stdout is sent to os.devnull: the rest of the report is dropped."""
+    try:
+        if line is None:
+            sys.stdout.flush()
+        else:
+            print(line)
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 def _load_config(path):
@@ -109,7 +122,7 @@ class _Output:
         path = os.path.join(self.dir, name)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        print(f"wrote {path}")
+        _say(f"wrote {path}")
 
     def csv(self, name, columns, rows, comments=()):
         """Write tuple rows under the header; every column holds one cell
@@ -313,8 +326,8 @@ def cmd_spectrum(args) -> int:
         hi = max(l.freq_mhz for l in lines) + 5.0 * fwhm
         grid = (lo, hi, fwhm / 10.0)
     spectrum = synth_spectrum(lines, grid, fwhm)
-    print(f"{len(lines)} lines; strongest "
-          f"{max(lines, key=lambda l: l.intensity).freq_mhz:.4f} MHz")
+    _say(f"{len(lines)} lines; strongest "
+         f"{max(lines, key=lambda l: l.intensity).freq_mhz:.4f} MHz")
     out.csv("spectrum_lines.csv", ("freq_mhz", "intensity", "i", "j"), lines)
     out.csv("spectrum.csv", ("frequency_mhz", "intensity"),
             zip(spectrum.freq_mhz.tolist(), spectrum.intensity.tolist()))
@@ -367,8 +380,8 @@ def cmd_linewidth(args) -> int:
         sites = classify_shells(generate_lattice(_number(
             cfg["lattice_radius_angstrom"], "lattice_radius_angstrom")))
         coeff = dipolar_second_moment_sum(sites)
-        print(f"lattice coefficient {coeff:.4e} cm^-6 "
-              f"(reference {DIPOLAR_COEFF_CM6:.4e})")
+        _say(f"lattice coefficient {coeff:.4e} cm^-6 "
+             f"(reference {DIPOLAR_COEFF_CM6:.4e})")
     points = linewidth_curve(n_values, regime=cfg["regime"], coeff_cm6=coeff)
     out.csv("linewidth.csv",
             ("n", "w_contact_mhz", "w_dipolar_mhz", "w_total_mhz",
@@ -401,11 +414,11 @@ def cmd_fit(args) -> int:
     fit = fit_decay(curve, model=model)
     rows = [(name, fit.params[name], fit.sigmas[name])
             for name in MODELS[model]["names"]]
-    print(f"model: {model}")
+    _say(f"model: {model}")
     for name, value, sigma in rows:
-        print(f"{name} = {value:.6g} +- {sigma:.3g}")
-    print(f"residual norm = {math.sqrt(fit.ssr):.6g} "
-          f"after {fit.n_iter} iterations")
+        _say(f"{name} = {value:.6g} +- {sigma:.3g}")
+    _say(f"residual norm = {math.sqrt(fit.ssr):.6g} "
+         f"after {fit.n_iter} iterations")
     out.csv(f"fit_{model}.csv", ("param", "value", "sigma"), rows,
             comments=(f"model: {model}",
                       f"residual_norm: {math.sqrt(fit.ssr):.10g}"))
@@ -442,17 +455,16 @@ def cmd_bath(args) -> int:
     summary = shell_summary(sites)
     inner = ", ".join(f"shell {s}: {mult} @ {dist:.3f} A" for s, (mult, dist)
                       in sorted(summary.items())[:4])
-    print(f"{len(sites)} sites within {cfg['radius_angstrom']} Angstrom "
-          f"({inner}, ...)")
-    print(f"occupied {sample.count} sites at n = {n:g} "
-          f"(seed {args.seed})")
+    _say(f"{len(sites)} sites within {cfg['radius_angstrom']} Angstrom "
+         f"({inner}, ...)")
+    _say(f"occupied {sample.count} sites at n = {n:g} (seed {args.seed})")
     try:
         coeff = dipolar_second_moment_sum(sites)
-        print(f"second-moment coefficient {coeff:.4e} cm^-6 = "
-              f"{coeff / DIPOLAR_COEFF_CM6:.3f} x reference "
-              f"{DIPOLAR_COEFF_CM6:.3e}")
+        _say(f"second-moment coefficient {coeff:.4e} cm^-6 = "
+             f"{coeff / DIPOLAR_COEFF_CM6:.3f} x reference "
+             f"{DIPOLAR_COEFF_CM6:.3e}")
     except ValidationError as exc:
-        print(f"second-moment coefficient skipped: {exc}")
+        _say(f"second-moment coefficient skipped: {exc}")
     out.csv("bath_sites.csv",
             ("x_angstrom", "y_angstrom", "z_angstrom", "shell"),
             [(x, y, z, shell) for (x, y, z), shell in
@@ -515,7 +527,7 @@ def cmd_pulse(args) -> int:
                 for (ms, bits), pop in state.populations().items()]
         for ms, bits, pop in rows:
             if pop > 1e-9:
-                print(f"ms={ms:+d} bits={bits} population={pop:.6f}")
+                _say(f"ms={ms:+d} bits={bits} population={pop:.6f}")
         out.csv("populations.csv", ("ms", "bits", "population"), rows)
         return EXIT_OK
 
@@ -529,7 +541,7 @@ def cmd_pulse(args) -> int:
         t = np.linspace(0.0, args.t_max, args.points)
         curve, omega = rabi_simulate(register, channel.lower(), i, j, t,
                                      power=args.power)
-        print(f"Rabi frequency {omega:.6g} MHz at power {args.power:g}")
+        _say(f"Rabi frequency {omega:.6g} MHz at power {args.power:g}")
         out.csv("rabi.csv", ("t_us", "population"),
                 zip(t.tolist(), curve.signal.tolist()))
         if args.plot:
@@ -549,14 +561,14 @@ def cmd_pulse(args) -> int:
             rows = zip(t.tolist(), bell_dephasing_fidelity(
                 register, variant, t, d[0], d[1]).tolist())
         _, fid, p00 = bell_prepare_and_fidelity(register, variant)
-        print(f"{variant}: preparation fidelity {fid:.9f}, "
-              f"round-trip detection {p00:.9f}")
+        _say(f"{variant}: preparation fidelity {fid:.9f}, "
+             f"round-trip detection {p00:.9f}")
         if rows is not None:
             out.csv("bell_dephasing.csv", ("t_us", "fidelity"), rows)
         return EXIT_OK
 
     transfer = endor_transfer(register, nucleus=args.endor)
-    print(f"nuclear polarization transfer {transfer:.9f}")
+    _say(f"nuclear polarization transfer {transfer:.9f}")
     return EXIT_OK
 
 
@@ -676,6 +688,8 @@ def main(argv=None) -> int:
     except (FitError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        _say()
 
 
 if __name__ == "__main__":

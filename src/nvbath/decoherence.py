@@ -259,66 +259,21 @@ class BellT2Result:
 
     t_phi_us: float
     t_psi_us: float
-    psi_unbounded: bool
-    combine: str
 
 
-def bell_t2star_from_sq(t_sq1_us: float, t_sq2_us: float,
-                        combine: str = "linear") -> BellT2Result:
-    """Combine single-quantum dephasing times into phi/psi times.
+def bell_t2star_from_sq(t_sq1_us: float, t_sq2_us: float) -> BellT2Result:
+    """Combine single-quantum dephasing times into phi/psi times:
+    1/T(phi) = 1/T(sq1) + 1/T(sq2), 1/T(psi) = |1/T(sq1) - 1/T(sq2)|.
 
-    linear: 1/T(phi) = 1/T(sq1) + 1/T(sq2), 1/T(psi) = |1/T(sq1) - 1/T(sq2)|.
-    quadrature: same rules on squared rates.
     Equal inputs make the psi coherence decay-free: t_psi_us is returned as
-    None with psi_unbounded set, never as a number.
+    None, never as a number.
     """
-    if t_sq1_us <= 0 or t_sq2_us <= 0:
-        raise ValidationError("dephasing times must be positive")
-    if combine not in ("linear", "quadrature"):
-        raise ValidationError("combine must be 'linear' or 'quadrature'")
+    if not (0 < t_sq1_us < math.inf and 0 < t_sq2_us < math.inf):
+        raise ValidationError("dephasing times must be positive and finite")
     r1, r2 = 1.0 / t_sq1_us, 1.0 / t_sq2_us
-    if combine == "linear":
-        r_phi, r_psi = r1 + r2, abs(r1 - r2)
-    else:
-        r_phi = math.hypot(r1, r2)
-        r_psi = math.sqrt(abs(r1 * r1 - r2 * r2))
-    unbounded = r_psi == 0.0
-    return BellT2Result(t_phi_us=1.0 / r_phi,
-                        t_psi_us=None if unbounded else 1.0 / r_psi,
-                        psi_unbounded=unbounded, combine=combine)
-
-
-def bell_t2star_intervals(sq1, sq2, combine: str = "linear"):
-    """Interval propagation of asymmetric uncertainties through the rules.
-
-    sq1/sq2 are (value, err_minus, err_plus) in us. Returns
-    {"phi": (lo, hi), "psi": (lo, hi_or_None)}; a psi upper bound of None
-    means the rate interval reaches zero (unbounded time).
-    """
-    out = {}
-    corners = []
-    for (v, em, ep) in (sq1, sq2):
-        if v - em <= 0:
-            raise ValidationError("uncertainty interval crosses zero")
-        corners.append((v - em, v + ep))
-    vals_phi, vals_psi, unbounded = [], [], False
-    for a in corners[0]:
-        for b in corners[1]:
-            res = bell_t2star_from_sq(a, b, combine)
-            vals_phi.append(res.t_phi_us)
-            if res.psi_unbounded:
-                unbounded = True
-            else:
-                vals_psi.append(res.t_psi_us)
-    # rate |r1 - r2| reaches zero whenever the rate intervals overlap
-    lo1, hi1 = 1.0 / corners[0][1], 1.0 / corners[0][0]
-    lo2, hi2 = 1.0 / corners[1][1], 1.0 / corners[1][0]
-    if max(lo1, lo2) <= min(hi1, hi2):
-        unbounded = True
-    out["phi"] = (min(vals_phi), max(vals_phi))
-    out["psi"] = (min(vals_psi) if vals_psi else math.inf,
-                  None if unbounded else max(vals_psi))
-    return out
+    r_psi = abs(r1 - r2)
+    return BellT2Result(t_phi_us=1.0 / (r1 + r2),
+                        t_psi_us=None if r_psi == 0.0 else 1.0 / r_psi)
 
 
 # ----- bath-driven FID ensembles -----------------------------------------
@@ -365,11 +320,14 @@ def pair_couplings(positions, p1, p2,
     nuclei share a sign, which is what makes the linear rate rule for the phi
     coherence hold in the dilute ensemble.
     """
-    if near_radius_angstrom <= 0:
-        raise ValidationError("near radius must be positive")
+    if not 0 < near_radius_angstrom < math.inf:
+        raise ValidationError("near radius must be positive and finite")
     pos = np.asarray(positions, dtype=float).reshape(-1, 3)
+    p1, p2 = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
+    if not all(np.all(np.isfinite(a)) for a in (pos, p1, p2)):
+        raise ValidationError("bath and register positions must be finite")
     out = []
-    for p in (np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)):
+    for p in (p1, p2):
         d = np.linalg.norm(pos - p[None, :], axis=1)
         if np.any(d < 1e-9):
             raise ValidationError("a bath site coincides with a register nucleus")
@@ -494,68 +452,34 @@ def fit_envelope_rate(curve: DecayCurve) -> float:
 # ----- concentration scaling of echo T2 ----------------------------------
 
 # Reference echo T2 points (n, T2 in ms). The low-concentration sample is
-# labeled inconsistently at the source (0.35% in one place, 0.3% in another);
-# 0.0035 is used here and the discrepancy is surfaced by format_scaling_report.
+# labeled inconsistently at the source (0.35% in one place, 0.3% in
+# another); 0.0035 is used here.
 REFERENCE_T2_SCALING_POINTS = ((0.011, 0.65), (0.0035, 1.8))
-CONCENTRATION_LABEL_NOTE = (
-    "note: the n=0.0035 dataset is labeled 0.35% and 0.3% in different "
-    "places at the source; 0.0035 is used here")
 
 
 @dataclass(frozen=True)
 class ScalingModel:
-    """T2 = c / n fit: coefficient (T2 unit x concentration), 1-sigma, and
-    the fitting space used."""
+    """T2 = c / n fit: coefficient (T2 unit x concentration) and 1-sigma."""
 
     c: float
     sigma_c: float
-    space: str
-    n_points: int
 
     def predict(self, n):
         return self.c / np.asarray(n, dtype=float)
 
 
-def fit_t2_scaling(n_values, t2_values, space: str = "log") -> ScalingModel:
-    """Fit the inverse-concentration law T2 = c/n.
-
-    space="log" minimizes residuals of log T2 (scale-invariant, default);
-    space="linear" minimizes absolute T2 residuals.
-    """
+def fit_t2_scaling(n_values, t2_values) -> ScalingModel:
+    """Fit the inverse-concentration law T2 = c/n by least squares on
+    log T2 (scale-invariant): c is the geometric mean of n * T2."""
     n = np.asarray(n_values, dtype=float)
     t2 = np.asarray(t2_values, dtype=float)
     if n.shape != t2.shape or n.ndim != 1 or len(n) < 2:
         raise ValidationError("need >= 2 (n, T2) pairs of equal length")
-    if np.any(n <= 0) or np.any(t2 <= 0):
-        raise ValidationError("concentrations and T2 must be positive")
-    dof = max(len(n) - 1, 1)
-    if space == "log":
-        logc = np.log(t2) + np.log(n)
-        c = float(np.exp(np.mean(logc)))
-        resid = logc - np.mean(logc)
-        sigma_logc = math.sqrt(float(resid @ resid) / dof / len(n))
-        sigma_c = c * sigma_logc
-    elif space == "linear":
-        x = 1.0 / n
-        c = float((t2 @ x) / (x @ x))
-        resid = t2 - c * x
-        sigma_c = math.sqrt(float(resid @ resid) / dof / float(x @ x))
-    else:
-        raise ValidationError("space must be 'log' or 'linear'")
-    return ScalingModel(c=c, sigma_c=sigma_c, space=space, n_points=len(n))
-
-
-def format_scaling_report(model: ScalingModel, n_values, t2_values) -> str:
-    """Human-readable report of a T2 = c/n fit, with per-point residuals."""
-    lines = [f"T2 = c/n fit ({model.space} space, {model.n_points} points)",
-             f"  c = {model.c:.6g} +- {model.sigma_c:.2g}"]
-    uses_label_point = False
-    for n, t2 in zip(n_values, t2_values):
-        pred = model.predict(n)
-        lines.append(f"  n={n:g}: T2={t2:g}, predicted {pred:.4g} "
-                     f"({(pred - t2) / t2 * 100:+.1f}%)")
-        if abs(n - 0.0035) < 1e-12:
-            uses_label_point = True
-    if uses_label_point:
-        lines.append("  " + CONCENTRATION_LABEL_NOTE)
-    return "\n".join(lines)
+    if not np.all((0 < n) & (n < math.inf) & (0 < t2) & (t2 < math.inf)):
+        raise ValidationError(
+            "concentrations and T2 must be positive and finite")
+    logc = np.log(t2) + np.log(n)
+    c = float(np.exp(np.mean(logc)))
+    resid = logc - np.mean(logc)
+    sigma_logc = math.sqrt(float(resid @ resid) / (len(n) - 1) / len(n))
+    return ScalingModel(c=c, sigma_c=c * sigma_logc)

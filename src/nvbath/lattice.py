@@ -227,30 +227,13 @@ def check_concentration(n: float):
         raise ValidationError("concentration must lie in [0, 1]")
 
 
-def shell_occupancy_probability(multiplicity: int, n: float, k: int = None):
-    """Binomial occupation statistics of a shell with the given multiplicity
-    at 13C fraction n: P(k occupied) when k is given, else the probability
-    of at least one occupied site."""
-    check_concentration(n)
-    if multiplicity < 0:
-        raise ValidationError("multiplicity must be >= 0")
-    if k is None:
-        return 1.0 - (1.0 - n) ** multiplicity
-    if not 0 <= k <= multiplicity:
-        return 0.0
-    return math.comb(multiplicity, k) * n ** k * (1.0 - n) ** (multiplicity - k)
-
-
 @dataclass(frozen=True)
 class BathSample:
     """One random 13C occupation of a site list: the occupied site indices
     and their positions (Angstrom)."""
 
-    seed: int
-    concentration: float
     site_indices: np.ndarray
     positions: np.ndarray
-    n_sites_total: int
 
     @property
     def count(self) -> int:
@@ -279,6 +262,4 @@ def sample_bath(sites, n: float, seed: int) -> BathSample:
     u = bath_stream(seed).random(len(lat))
     idx = np.flatnonzero(u < n)
     pos = positions_of(lat[idx])
-    return BathSample(seed=int(seed), concentration=float(n),
-                      site_indices=idx, positions=pos,
-                      n_sites_total=len(lat))
+    return BathSample(site_indices=idx, positions=pos)

@@ -2,8 +2,8 @@
 
 Two models, both scaling as sqrt(n) in the 13C fraction n:
 
-* contact model: Fermi-contact broadening from the strongly coupled shell
-  classes, W = 2 sqrt(2 ln2) * sqrt(n * sum_l m_l (a_l/2)^2);
+* contact model: Fermi-contact broadening from the m = 9 strongly coupled
+  shell-3 sites of coupling a = 14 MHz, W = 2 sqrt(2 ln2) sqrt(n m (a/2)^2);
 * dipolar model: secular Van Vleck second moment of the distant bath,
   W = P * sqrt(C n) with P = (mu0/4pi) g_e mu_B g_n mu_N / h in cm^3 Hz and
   C the lattice coefficient in cm^-6.
@@ -15,7 +15,6 @@ W = 2 sqrt(ln2) / (pi T2*).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,28 +39,12 @@ _FWHM_FROM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 _AXIS = np.asarray(NV_AXIS) / np.linalg.norm(NV_AXIS)  # unit defect axis
 
 
-@dataclass(frozen=True)
-class ContactSiteSet:
-    """Strongly coupled shell classes feeding the contact model:
-    (coupling MHz, multiplicity) pairs."""
-
-    entries: tuple = ((THIRD_SHELL_A_MHZ, THIRD_SHELL_MULTIPLICITY),)
-
-    def __post_init__(self):
-        ent = tuple((float(a), int(m)) for a, m in self.entries)
-        for a, m in ent:
-            if a <= 0 or m <= 0:
-                raise ValidationError(
-                    "contact entries need positive coupling and multiplicity")
-        object.__setattr__(self, "entries", ent)
-
-
-def contact_linewidth(n: float, sites: ContactSiteSet = None) -> float:
-    """Contact-model FWHM in MHz at 13C fraction n."""
+def contact_linewidth(n: float) -> float:
+    """Contact-model FWHM in MHz at 13C fraction n, from the nine strongly
+    coupled shell-3 sites."""
     check_concentration(n)
-    if sites is None:
-        sites = ContactSiteSet()
-    second_moment = n * sum(m * (a / 2.0) ** 2 for a, m in sites.entries)
+    second_moment = n * (THIRD_SHELL_MULTIPLICITY
+                         * (THIRD_SHELL_A_MHZ / 2.0) ** 2)
     return _FWHM_FROM_SIGMA * math.sqrt(second_moment)
 
 
@@ -129,8 +112,7 @@ class LinewidthPoint(NamedTuple):
 _REGIMES = ("auto", "max", "contact", "dipolar")
 
 
-def linewidth_curve(n_values, sites: ContactSiteSet = None,
-                    regime: str = "auto",
+def linewidth_curve(n_values, regime: str = "auto",
                     coeff_cm6: float = DIPOLAR_COEFF_CM6) -> list:
     """Evaluate both models on a concentration grid.
 
@@ -142,7 +124,7 @@ def linewidth_curve(n_values, sites: ContactSiteSet = None,
         raise ValidationError(f"regime must be one of {_REGIMES}")
     out = []
     for n in np.asarray(n_values, dtype=float):
-        wc = contact_linewidth(float(n), sites)
+        wc = contact_linewidth(float(n))
         wd = dipolar_linewidth_closed_form(float(n), coeff_cm6) * 1e-6
         if regime == "contact":
             wt = wc

@@ -273,9 +273,6 @@ class RegisterState:
         v = np.asarray(target_vector, dtype=complex)
         return float(np.real(v.conj() @ self.rho @ v))
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.rho @ self.rho)))
-
 
 @dataclass(frozen=True)
 class Pulse:
@@ -489,22 +486,6 @@ def parse_sequence(text: str):
     return items
 
 
-def format_sequence(items) -> str:
-    lines = []
-    for item in items:
-        if isinstance(item, Wait):
-            lines.append(f"WAIT {item.t_us:.17g}")
-        else:
-            s = (f"{item.channel.upper()} {item.i} {item.j} "
-                 f"{item.angle_rad:.17g} {item.phase_rad:.17g}")
-            if item.control is not None:
-                s += f" control={item.control[0]}:{item.control[1]}"
-            if item.duration_us is not None:
-                s += f" dur={item.duration_us:.17g}"
-            lines.append(s)
-    return "\n".join(lines) + "\n"
-
-
 # ----- canned experiments -------------------------------------------------
 
 
@@ -533,15 +514,6 @@ def endor_transfer(register: Register, nucleus: int = 0, ms: int = -1) -> float:
     state = register.pure_state(0, (0,) * register.n_nuclei)
     k = items[-1].j  # the level (0, flipped) of the last MW pulse
     return float(np.real(run_sequence(state, items).rho[k, k]))
-
-
-def hahn_echo_sequence(register: Register, i: int, j: int, tau_us: float,
-                       channel: str = "mw"):
-    """pi/2 - tau - pi - tau - pi/2 on one transition."""
-    half = math.pi / 2.0
-    return [Pulse(channel, i, j, half), Wait(tau_us),
-            Pulse(channel, i, j, math.pi), Wait(tau_us),
-            Pulse(channel, i, j, half)]
 
 
 BELL_MS = -1  # electron manifold that holds the Bell states

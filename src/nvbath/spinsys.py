@@ -100,6 +100,9 @@ class ZfsParams:
     axis: tuple = (1 / np.sqrt(3), 1 / np.sqrt(3), 1 / np.sqrt(3))
 
     def __post_init__(self):
+        if not math.isfinite(self.d_mhz):
+            raise ValidationError(
+                f"ZFS d_mhz must be finite, got {self.d_mhz:g}")
         object.__setattr__(self, "axis", tuple(_unit(self.axis, "ZFS axis")))
 
     @classmethod
@@ -145,6 +148,10 @@ class HyperfineTensor:
     azimuth_deg: float = 0.0
 
     def __post_init__(self):
+        for name in ("a_par_mhz", "a_perp_mhz", "azimuth_deg"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"hyperfine {name} must be finite, "
+                                      f"got {getattr(self, name):g}")
         if not 0.0 <= self.polar_deg <= 180.0:
             raise ValidationError("polar angle must lie in [0, 180] degrees")
 
@@ -369,7 +376,6 @@ class Spectrum:
 
     freq_mhz: np.ndarray
     intensity: np.ndarray
-    fwhm_mhz: float
 
     def __post_init__(self):
         f = np.asarray(self.freq_mhz, dtype=float)
@@ -425,4 +431,4 @@ def synth_spectrum(lines, grid, fwhm_mhz) -> Spectrum:
     centers = np.array([l.freq_mhz for l in lines], dtype=float)
     amps = np.array([l.intensity for l in lines], dtype=float)
     y = _kernels.gaussian_mixture(centers, amps, sigma, f)
-    return Spectrum(freq_mhz=f, intensity=y, fwhm_mhz=fwhm_mhz)
+    return Spectrum(freq_mhz=f, intensity=y)

@@ -5,7 +5,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,7 +24,7 @@ from nvbath.errors import ValidationError
 from nvbath.lattice import classify_shells, generate_lattice
 from nvbath.linewidth import LinewidthPoint, linewidth_curve
 from nvbath.pulses import (Register, RegisterState, bell_sequence,
-                           format_sequence)
+                           parse_sequence)
 from nvbath.spinsys import (
     SpinSystemSpec,
     TransitionLine,
@@ -319,9 +322,11 @@ def test_records_unpack_to_their_csv_rows(tmp_path):
 
 
 def test_pulse_sequence_file_runs(tmp_path):
-    reg = cli_register()
     seq = tmp_path / "bell.seq"
-    seq.write_text(format_sequence(bell_sequence(reg, "phi_plus")))
+    seq.write_text("RF 4 6 1.5707963267948966 3.1415926535897931\n"
+                   "RF 6 7 3.1415926535897931 0 control=0:1\n")
+    assert parse_sequence(seq.read_text()) \
+        == bell_sequence(cli_register(), "phi_plus")
     assert main(["pulse", "--field", "83", "--first-shell", "0",
                  "--third-shell", "1", "--sequence", str(seq),
                  "--init=-1:00", "--out-dir", str(tmp_path)]) == 0
@@ -730,8 +735,23 @@ def test_malformed_numbers_exit_two(tmp_path, capsys, argv, config, key):
      None, "--third-shell must be nonnegative, got -2"),
     (["spectrum", "--third-shell", "-1"], None,
      "--third-shell must be nonnegative, got -1"),
+    (["spectrum"], {"zfs_mhz": math.nan}, "ZFS d_mhz must be finite, got nan"),
+    (["pulse", "--endor", "0"], {"zfs_mhz": math.nan},
+     "ZFS d_mhz must be finite, got nan"),
+    (["spectrum"], {"nuclei": [{"a_par_mhz": math.inf, "a_perp_mhz": 1}]},
+     "hyperfine a_par_mhz must be finite, got inf"),
+    (["pulse", "--endor", "0"],
+     {"nuclei": [{"a_par_mhz": math.inf, "a_perp_mhz": 1}]},
+     "hyperfine a_par_mhz must be finite, got inf"),
+    (["spectrum"], {"nuclei": [{"shell": 1, "azimuth_deg": math.nan}]},
+     "hyperfine azimuth_deg must be finite, got nan"),
+    (["pulse", "--endor", "0"],
+     {"nuclei": [{"shell": 1, "azimuth_deg": math.nan}]},
+     "hyperfine azimuth_deg must be finite, got nan"),
 ], ids=["coeff-negative", "coeff-zero", "coeff-nan", "coeff-inf",
-        "pulse-third-shell", "spectrum-third-shell"])
+        "pulse-third-shell", "spectrum-third-shell", "spectrum-zfs-nan",
+        "endor-zfs-nan", "spectrum-a-par-inf", "endor-a-par-inf",
+        "spectrum-azimuth-nan", "endor-azimuth-nan"])
 def test_numbers_the_models_cannot_take_exit_two(tmp_path, capsys, argv,
                                                  config, message):
     if config is not None:
@@ -918,3 +938,31 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("unbuffered", [True, False],
+                         ids=["unbuffered", "buffered"])
+def test_closed_stdout_still_writes_the_files(tmp_path, unbuffered):
+    # stdout is a pipe whose read end is already closed, so the first write
+    # that reaches it fails with EPIPE
+    argv = ["spectrum", "--field", "83", "--first-shell", "0,120,240"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(nvbath.cli.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nvbath.cli", *argv, "--out-dir",
+             str(tmp_path / "piped")],
+            stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--out-dir", str(tmp_path / "direct")]) == 0
+    for name in ("spectrum_lines.csv", "spectrum.csv"):
+        assert (tmp_path / "piped" / name).read_bytes() \
+            == (tmp_path / "direct" / name).read_bytes()

@@ -26,7 +26,6 @@ from nvbath.lattice import (
     generate_lattice,
     positions_of,
     sample_bath,
-    shell_occupancy_probability,
     shell_summary,
 )
 
@@ -239,26 +238,11 @@ def test_per_shell_occupancy_statistics():
         assert abs(mean - m * n) <= 3.0 * sigma, f"shell {sh}"
 
 
-def test_occupancy_probability_oracle():
-    # P(0 of 9 at n=0.084) = (1-n)^9 = 0.4540; complement 0.546
-    p0 = shell_occupancy_probability(9, 0.084, 0)
-    assert abs(p0 - (1.0 - 0.084) ** 9) <= 1e-15
-    assert abs(p0 - 0.454) <= 5e-4
-    p_any = shell_occupancy_probability(9, 0.084)
-    assert abs(p_any - (1.0 - p0)) <= 1e-15
-    total = sum(shell_occupancy_probability(9, 0.084, k) for k in range(10))
-    assert abs(total - 1.0) <= 1e-12
-    assert shell_occupancy_probability(9, 0.084, 12) == 0.0
-    with pytest.raises(ValidationError):
-        shell_occupancy_probability(9, 1.5)
-
-
 def test_bath_couplings_match_positions():
     sites = classify_shells(generate_lattice(10.0))
     s = sample_bath(sites, 0.1, seed=3)
     np.testing.assert_array_equal(s.positions,
                                   positions_of(sites)[s.site_indices])
-    assert s.n_sites_total == len(sites)
     empty = sample_bath(sites, 0.0, seed=3)
     assert empty.count == 0
     assert empty.positions.shape == (0, 3)

@@ -11,7 +11,6 @@ from nvbath.errors import InsufficientSitesError, ValidationError
 from nvbath.lattice import classify_shells, generate_lattice
 from nvbath.linewidth import (
     DIPOLAR_COEFF_CM6,
-    ContactSiteSet,
     contact_linewidth,
     dipolar_linewidth_closed_form,
     dipolar_second_moment_sum,
@@ -127,15 +126,6 @@ def test_curve_t2star_consistency():
     for p in pts:
         expect_us = linewidth_to_t2star(p.w_total_mhz * 1e6) * 1e6
         assert abs(p.t2star_us - expect_us) <= 1e-12 * expect_us
-
-
-def test_contact_site_set_validation():
-    with pytest.raises(ValidationError):
-        ContactSiteSet(entries=((0.0, 9),))
-    with pytest.raises(ValidationError):
-        ContactSiteSet(entries=((14.0, 0),))
-    custom = ContactSiteSet(entries=((130.0, 3), (14.0, 9)))
-    assert contact_linewidth(0.5, custom) > contact_linewidth(0.5)
 
 
 @pytest.mark.parametrize("coeff", [-1.0, 0.0, math.nan, math.inf])

@@ -292,6 +292,21 @@ def test_field_rejects_non_finite_magnitude(gauss):
         ZeemanField.along((0.0, 0.0, 1.0), gauss)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_zfs_and_hyperfine_reject_non_finite_values(bad):
+    for make in (lambda: ZfsParams(d_mhz=bad),
+                 lambda: ZfsParams.along((0.0, 0.0, 1.0), bad)):
+        with pytest.raises(ValidationError, match="ZFS d_mhz must be finite"):
+            make()
+    for name in ("a_par_mhz", "a_perp_mhz", "azimuth_deg"):
+        kwargs = {"a_par_mhz": 5.0, "a_perp_mhz": 1.0, name: bad}
+        with pytest.raises(ValidationError,
+                           match=f"hyperfine {name} must be finite"):
+            HyperfineTensor(**kwargs)
+    with pytest.raises(ValidationError, match="azimuth_deg must be finite"):
+        first_shell_tensor(bad)
+
+
 @pytest.mark.parametrize("bad", [(math.nan, 1.0, 1.0), (math.inf, 0.0, 0.0),
                                  (0.0, -math.inf, 1.0)])
 def test_directions_reject_non_finite_components(bad):
