@@ -3,6 +3,8 @@ names it for run records."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 BACKEND = "numpy"
@@ -19,8 +21,22 @@ def second_moment_sum(pos, axis):
 
 def phase_envelope(theta, t):
     """Sum over samples s of cos(theta[s] * t): theta (samples,) in rad per
-    time unit of t, t an (nt,) grid. Returns (nt,)."""
-    return np.cos(np.outer(theta, t)).sum(axis=0)
+    time unit of t, t a uniform (nt,) grid t0 + k h. Returns (nt,).
+
+    Each index splits as k = q b + j with b = isqrt(nt - 1) + 1, and
+    cos(x + y) = cos x cos y - sin x sin y takes the coarse times t[q b]
+    and the fine offsets t[j] - t0: cos and sin at 2 b times per sample
+    instead of nt, summed over samples by two (b x samples x b) products.
+    The sums are clipped to [-samples, samples], which rounding of the
+    products can pass by an ulp. At t = 0 every term is exactly 1.
+    """
+    t = np.asarray(t, dtype=float)
+    b = math.isqrt(len(t) - 1) + 1
+    coarse = np.outer(theta, t[::b])
+    fine = np.outer(theta, t[:b] - t[0])
+    env = np.cos(coarse).T @ np.cos(fine) - np.sin(coarse).T @ np.sin(fine)
+    m = float(len(theta))
+    return np.clip(env.ravel()[:len(t)], -m, m)
 
 
 # exp(-z^2/2) is exactly 0.0 in double precision beyond this many sigma

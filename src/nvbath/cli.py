@@ -314,6 +314,9 @@ def cmd_spectrum(args) -> int:
             raise ValidationError("window needs exactly two values: lo,hi")
     spec = _system_from_config(cfg)
     floor = _number(cfg["intensity_floor"], "intensity_floor")
+    if not 0.0 <= floor <= 1.0:
+        raise ValidationError(
+            f"intensity_floor must be finite and in [0, 1], got {floor:g}")
     fwhm = check_fwhm(_number(cfg["fwhm_mhz"], "fwhm_mhz"))
     grid = cfg["grid_mhz"]
     if grid is not None:
@@ -593,8 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed recorded in outputs and used for "
                              "sampling (default 0)")
     common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; every "
-                             "computation runs in one thread")
+                        help="accepted for compatibility; nvbath "
+                             "starts no threads of its own")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", parents=[common],

@@ -42,8 +42,9 @@ class DecayCurve:
         object.__setattr__(self, "signal", y)
         if self.sigma is not None:
             s = np.asarray(self.sigma, dtype=float)
-            if s.shape != t.shape or np.any(s <= 0):
-                raise ValidationError("sigma must be positive, same length as t")
+            if s.shape != t.shape or not np.all((0 < s) & (s < np.inf)):
+                raise ValidationError(
+                    "sigma must be positive and finite, same length as t")
             object.__setattr__(self, "sigma", s)
 
 
@@ -286,7 +287,11 @@ COHERENCE_WEIGHTS = {
 }
 
 MIN_BATH_SAMPLES = 100
-BATH_CHUNK_SAMPLES = 256    # samples per draw; bounds the samples x t cosines
+# samples per draw; bounds the occupied cells and the (samples x sqrt(nt))
+# cos and sin tables of a chunk. It also decides which uniforms fill which
+# cells, so changing it changes every envelope's digits.
+BATH_CHUNK_SAMPLES = 256
+UNIFORM_GRID_RTOL = 1e-12   # times t_max: largest |t_k - (t0 + k h)|
 ENVELOPE_FLOOR = 0.05       # fit_envelope_rate uses the points above it
 
 
@@ -385,10 +390,16 @@ def simulate_bath_fid(couplings: PairCouplings, kind: str, t_us,
     sites, the occupied cells of the flat m*n (sample, site) grid are drawn
     as geometric gaps (_occupied_cells), then one uniform per occupied cell,
     in cell order, gives +1/2 below 1/2 and -1/2 otherwise; each sample's
-    phase rate sums spin * omega over its cells in site order. Memory per
-    chunk is O(occupied cells + m * len(t_us)). At p = 1 only the signs are
-    drawn; at p = 0 nothing is. The chunk size changes which uniforms fill
-    which cells, but not the distribution of the draw.
+    phase rate sums spin * omega over its cells in site order. At p = 1
+    only the signs are drawn; at p = 0 nothing is. The chunk size changes
+    which uniforms fill which cells, but not the distribution of the draw.
+
+    t_us must be a uniform grid t0 + k h (every point within
+    UNIFORM_GRID_RTOL * t_max), because _kernels.phase_envelope sums the
+    cosines by angle addition over about sqrt(nt) coarse times and as many
+    fine offsets (nt = len(t_us)). Time and memory per chunk are
+    O(occupied cells + m * sqrt(nt)), plus two (sqrt(nt) x m x sqrt(nt))
+    products.
     """
     kind = kind.lower()
     if kind not in COHERENCE_WEIGHTS:
@@ -401,6 +412,10 @@ def simulate_bath_fid(couplings: PairCouplings, kind: str, t_us,
     if t.ndim != 1 or len(t) < 2 or not np.all(np.isfinite(t)) \
             or np.any(np.diff(t) <= 0) or t[0] < 0:
         raise ValidationError("time grid must be increasing and nonnegative")
+    step = (t[-1] - t[0]) / (len(t) - 1)
+    if np.any(np.abs(t - (t[0] + step * np.arange(len(t))))
+              > UNIFORM_GRID_RTOL * t[-1]):
+        raise ValidationError("time grid must be uniform")
     if occupancy is not None and not 0.0 <= occupancy <= 1.0:
         raise ValidationError("occupancy must lie in [0, 1]")
     p = 1.0 if occupancy is None else float(occupancy)

@@ -19,7 +19,7 @@ from lattice_reference import reference_sites
 import nvbath.cli
 import nvbath.spinsys
 from nvbath.cli import _row_format, main, read_decay_csv
-from nvbath.decoherence import fid_model
+from nvbath.decoherence import echo_model, fid_model
 from nvbath.errors import ValidationError
 from nvbath.lattice import classify_shells, generate_lattice
 from nvbath.linewidth import LinewidthPoint, linewidth_curve
@@ -748,12 +748,34 @@ def test_malformed_numbers_exit_two(tmp_path, capsys, argv, config, key):
     (["pulse", "--endor", "0"],
      {"nuclei": [{"shell": 1, "azimuth_deg": math.nan}]},
      "hyperfine azimuth_deg must be finite, got nan"),
+    (["spectrum", "--field", "83", "--first-shell", "0"],
+     {"intensity_floor": 2}, "intensity_floor must be finite and in [0, 1], "
+     "got 2"),
+    (["spectrum", "--field", "83", "--first-shell", "0"],
+     {"intensity_floor": math.nan},
+     "intensity_floor must be finite and in [0, 1], got nan"),
+    (["fit", "--model", "echo", "--input", "sigma=nan"], None,
+     "sigma must be positive and finite, same length as t"),
+    (["fit", "--model", "echo", "--input", "sigma=inf"], None,
+     "sigma must be positive and finite, same length as t"),
 ], ids=["coeff-negative", "coeff-zero", "coeff-nan", "coeff-inf",
         "pulse-third-shell", "spectrum-third-shell", "spectrum-zfs-nan",
         "endor-zfs-nan", "spectrum-a-par-inf", "endor-a-par-inf",
-        "spectrum-azimuth-nan", "endor-azimuth-nan"])
+        "spectrum-azimuth-nan", "endor-azimuth-nan", "spectrum-floor-2",
+        "spectrum-floor-nan", "fit-sigma-nan", "fit-sigma-inf"])
 def test_numbers_the_models_cannot_take_exit_two(tmp_path, capsys, argv,
                                                  config, message):
+    # "sigma=X": a 60-row echo CSV whose row 17 has sigma X, the rest 0.01
+    for k, arg in enumerate(argv):
+        if arg.startswith("sigma="):
+            t = np.linspace(0.0, 2.0, 60)
+            sigma = ["0.01"] * 60
+            sigma[17] = arg[len("sigma="):]
+            path = tmp_path / "echo.csv"
+            path.write_text("t_us,signal,sigma\n" + "".join(
+                f"{tt:.12g},{yy:.12g},{ss}\n" for tt, yy, ss
+                in zip(t, echo_model(t, 0.7, 0.5, 0.5), sigma)))
+            argv = argv[:k] + [str(path)] + argv[k + 1:]
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))

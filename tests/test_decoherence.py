@@ -120,6 +120,10 @@ def test_decay_curve_validation():
                    signal=np.array([1.0, 0.5, 0.2]))
     with pytest.raises(ValidationError):
         DecayCurve(t_us=np.array([0.0, 1.0]), signal=np.array([1.0]))
+    for bad in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            DecayCurve(t_us=np.array([0.0, 1.0]), signal=np.array([1.0, 0.5]),
+                       sigma=np.array([0.1, bad]))
 
 
 def test_bell_rules_linear():
@@ -240,7 +244,7 @@ def test_bath_simulation_validation(monkeypatch):
                    {"occupancy": 1.5}, {"occupancy": math.nan},
                    {"n_samples": 150.5}, {"seed": -1}, {"seed": 2 ** 128},
                    {"seed": 2.5},
-                   {"t_us": [0.0, math.inf]},
+                   {"t_us": [0.0, math.inf]}, {"t_us": [0.0, 1.0, 3.0]},
                    {"couplings": _two_site_couplings([1.0, math.nan],
                                                      [0.0, 3.0])}):
         args = {"couplings": couplings, "kind": "phi", "t_us": t, **kwargs}

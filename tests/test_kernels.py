@@ -7,6 +7,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from nvbath import _kernels
 
@@ -57,6 +58,24 @@ def test_phase_envelope_matches_per_sample_loop():
         b = loop_phase_envelope(theta, t)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
         assert np.all(a[t == 0.0] == len(theta))
+
+
+@settings(max_examples=80, deadline=None)
+@given(theta=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=300),
+       t0=st.floats(0.0, 10.0), h=st.floats(0.0, 1.0, exclude_min=True),
+       nt=st.integers(2, 400))
+def test_phase_envelope_on_any_uniform_grid(theta, t0, h, nt):
+    # angle addition over coarse times and fine offsets against the dense
+    # (samples x times) cosines
+    theta = np.array(theta)
+    t = t0 + h * np.arange(nt)
+    got = _kernels.phase_envelope(theta, t)
+    want = np.cos(np.outer(theta, t)).sum(axis=0)
+    scale = 1.0 + np.max(np.abs(np.outer(theta, t)))
+    assert np.all(np.abs(got - want) <= 1e-12 * len(theta) * scale)
+    assert np.all(np.abs(got) <= len(theta))
+    if t0 == 0.0:
+        assert got[0] == len(theta)
 
 
 def dense_gaussian_mixture(centers, amps, sigma, grid):
