@@ -8,6 +8,7 @@ labeled sq1/sq2 (single nucleus), phi (double quantum, phases add) and psi
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,8 +16,9 @@ import numpy as np
 
 from . import _kernels
 from .constants import NN_DIPOLAR_KHZ_A3
-from .errors import FitError, FlatSignalError, ValidationError
-from .lattice import bath_stream
+from .errors import (FitError, FlatSignalError, ResourceLimitError,
+                     ValidationError)
+from .lattice import bath_stream, check_seed
 
 # ----- decay curves and models ------------------------------------------
 
@@ -291,6 +293,12 @@ MIN_BATH_SAMPLES = 100
 # cos and sin tables of a chunk. It also decides which uniforms fill which
 # cells, so changing it changes every envelope's digits.
 BATH_CHUNK_SAMPLES = 256
+# The memo of the last draw holds 16 B per sample (two phase rates) and 16 B
+# per coupled site (its key). Bound on the tracemalloc peak of a draw per
+# sample; measured 16.0-16.6 B at 1e6-4e6 samples (1 or 862 coupled sites,
+# p = 0.03; numpy 2.4), so the cap allows ~0.68 GB.
+MAX_BATH_SAMPLES = 40_000_000
+BYTES_PER_BATH_SAMPLE = 17
 UNIFORM_GRID_RTOL = 1e-12   # times t_max: largest |t_k - (t0 + k h)|
 ENVELOPE_FLOOR = 0.05       # fit_envelope_rate uses the points above it
 
@@ -343,8 +351,8 @@ def pair_couplings(positions, p1, p2,
 
 
 def _occupied_cells(gen, cells: int, p: float) -> np.ndarray:
-    """Sorted flat indices of the occupied cells among `cells` independent
-    cells, each occupied with probability p (0 <= p <= 1).
+    """Sorted flat indices of the occupied cells among `cells` > 0
+    independent cells, each occupied with probability p (0 < p <= 1).
 
     The gap from one occupied cell to the next (the first counted from
     cell -1) is geometric, 1 + floor(log1p(-u) / log1p(-p)) for a uniform u
@@ -352,8 +360,6 @@ def _occupied_cells(gen, cells: int, p: float) -> np.ndarray:
     being p times the cells not yet passed, until they pass the last cell;
     the uniforms left over from the last batch are discarded.
     """
-    if p == 0.0 or cells == 0:
-        return np.empty(0, dtype=np.int64)
     if p == 1.0:
         return np.arange(cells)
     log_q = math.log1p(-p)
@@ -371,6 +377,30 @@ def _occupied_cells(gen, cells: int, p: float) -> np.ndarray:
     return (end[end <= cells] - 1.0).astype(np.int64)
 
 
+@functools.lru_cache(maxsize=1)
+def _bath_phases(c1_bytes: bytes, c2_bytes: bytes, n_samples: int,
+                 seed: int, p: float):
+    """Phase rates (rad/us) of every sample at unit weight on each register
+    nucleus, (theta1, theta2), read-only: the draw simulate_bath_fid
+    describes, over the coupled sites whose couplings c1/c2 (kHz, float64)
+    the two byte strings hold. Memoized for the last bath only."""
+    c1 = np.frombuffer(c1_bytes)
+    omega1 = 2.0e-3 * math.pi * c1
+    omega2 = 2.0e-3 * math.pi * np.frombuffer(c2_bytes)
+    gen = bath_stream(seed)
+    theta = np.empty((2, n_samples))
+    for start in range(0, n_samples, BATH_CHUNK_SAMPLES):
+        m = min(BATH_CHUNK_SAMPLES, n_samples - start)
+        cells = _occupied_cells(gen, m * c1.size, p)
+        sample, site = np.divmod(cells, max(c1.size, 1))
+        signs = (gen.random(cells.size) < 0.5) - 0.5
+        for row, omega in zip(theta, (omega1, omega2)):
+            row[start:start + m] = np.bincount(
+                sample, weights=signs * omega[site], minlength=m)
+    theta.flags.writeable = False
+    return theta[0], theta[1]
+
+
 def simulate_bath_fid(couplings: PairCouplings, kind: str, t_us,
                       n_samples: int = 1000, seed: int = 0,
                       occupancy: float = None) -> DecayCurve:
@@ -385,14 +415,26 @@ def simulate_bath_fid(couplings: PairCouplings, kind: str, t_us,
 
     Only sites coupled to at least one register nucleus are drawn. The
     drawn sites do not depend on kind, so all kinds at one seed see the
-    same bath. Samples are drawn BATH_CHUNK_SAMPLES at a time from one
-    Philox stream read in order. In a chunk of m samples and n coupled
-    sites, the occupied cells of the flat m*n (sample, site) grid are drawn
-    as geometric gaps (_occupied_cells), then one uniform per occupied cell,
+    same bath, and they share one draw: each sample's phase rates theta1
+    and theta2 on the two nuclei at unit weight, from which a call forms
+    w1*theta1 + w2*theta2 (sq1 and sq2 take theta1 and theta2 as they
+    are). The last bath drawn is memoized, keyed by the coupled c1/c2,
+    n_samples, seed and p, at 16 B per sample and 16 B per coupled site;
+    a caller that alternates between two baths draws each of them again
+    every time. A call whose phase is 0 in every sample (p = 0, no coupled
+    site, or w1*c1 + w2*c2 = 0 at every coupled site, as for psi on
+    correlated couplings) returns exactly 1 without a draw, after every
+    input check. n_samples above MAX_BATH_SAMPLES raises
+    ResourceLimitError before the stream is opened.
+
+    Samples are drawn BATH_CHUNK_SAMPLES at a time from one Philox stream
+    read in order. In a chunk of m samples and n coupled sites, the
+    occupied cells of the flat m*n (sample, site) grid are drawn as
+    geometric gaps (_occupied_cells), then one uniform per occupied cell,
     in cell order, gives +1/2 below 1/2 and -1/2 otherwise; each sample's
     phase rate sums spin * omega over its cells in site order. At p = 1
-    only the signs are drawn; at p = 0 nothing is. The chunk size changes
-    which uniforms fill which cells, but not the distribution of the draw.
+    only the signs are drawn. The chunk size changes which uniforms fill
+    which cells, but not the distribution of the draw.
 
     t_us must be a uniform grid t0 + k h (every point within
     UNIFORM_GRID_RTOL * t_max), because _kernels.phase_envelope sums the
@@ -422,20 +464,28 @@ def simulate_bath_fid(couplings: PairCouplings, kind: str, t_us,
     w1, w2 = COHERENCE_WEIGHTS[kind]
     c1, c2 = couplings.c1_khz, couplings.c2_khz
     coupled = (c1 != 0.0) | (c2 != 0.0)
+    c1, c2 = c1[coupled], c2[coupled]
     # angular frequency per coupled site in rad/us
-    omega = 2.0e-3 * math.pi * (w1 * c1[coupled] + w2 * c2[coupled])
+    omega = 2.0e-3 * math.pi * (w1 * c1 + w2 * c2)
     if not np.all(np.isfinite(omega)):
         raise ValidationError("couplings must be finite")
+    seed = check_seed(seed)
+    if n_samples > MAX_BATH_SAMPLES:
+        raise ResourceLimitError(
+            f"{n_samples} bath samples need "
+            f"~{n_samples * BYTES_PER_BATH_SAMPLE / 1e9:.2g} GB (cap "
+            f"{MAX_BATH_SAMPLES:.0e} samples, "
+            f"~{MAX_BATH_SAMPLES * BYTES_PER_BATH_SAMPLE / 1e9:.2g} GB)")
+    if p == 0.0 or not omega.any():
+        return DecayCurve(t_us=t, signal=np.ones(len(t)))
 
-    gen = bath_stream(seed)  # checks the seed last, then opens the stream
+    theta1, theta2 = _bath_phases(c1.tobytes(), c2.tobytes(), int(n_samples),
+                                  seed, p)
     total = np.zeros(len(t))
     for start in range(0, n_samples, BATH_CHUNK_SAMPLES):
-        m = min(BATH_CHUNK_SAMPLES, n_samples - start)
-        cells = _occupied_cells(gen, m * omega.size, p)
-        sample, site = np.divmod(cells, max(omega.size, 1))
-        signs = (gen.random(cells.size) < 0.5) - 0.5
-        theta = np.bincount(sample, weights=signs * omega[site], minlength=m)
-        total += _kernels.phase_envelope(theta, t)
+        chunk = slice(start, start + BATH_CHUNK_SAMPLES)
+        total += _kernels.phase_envelope(
+            w1 * theta1[chunk] + w2 * theta2[chunk], t)
     return DecayCurve(t_us=t, signal=total / n_samples)
 
 

@@ -8,6 +8,7 @@ which this module exploits for exact distance classes and deduplication.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections.abc import Sequence
@@ -21,6 +22,7 @@ from .errors import ResourceLimitError, ValidationError
 
 NV_AXIS = (1 / math.sqrt(3),) * 3
 
+_A4 = LATTICE_A_ANGSTROM / 4.0  # Angstrom per quarter-lattice unit
 SITE_DENSITY_A3 = 8.0 / LATTICE_A_ANGSTROM ** 3  # carbon atoms per cubic Angstrom
 MAX_SITES = 10_000_000
 # Bound on the tracemalloc peak of classify_shells(generate_lattice(R)) per
@@ -47,13 +49,12 @@ class LatticeSite(NamedTuple):
     @property
     def position(self) -> tuple:
         """(x, y, z) in Angstrom, bitwise equal to positions_of's row."""
-        a4 = LATTICE_A_ANGSTROM / 4.0
-        return (a4 * self.quarter[0], a4 * self.quarter[1],
-                a4 * self.quarter[2])
+        q = self.quarter
+        return (_A4 * q[0], _A4 * q[1], _A4 * q[2])
 
     @property
     def distance(self) -> float:
-        return LATTICE_A_ANGSTROM / 4.0 * math.sqrt(sum(q * q for q in self.quarter))
+        return _A4 * math.sqrt(sum(q * q for q in self.quarter))
 
 
 class Lattice(Sequence):
@@ -61,8 +62,9 @@ class Lattice(Sequence):
     quarter-lattice coordinates, ``shell`` (N,) int32 shell indices
     (0 = unclassified) and ``sublattice`` (N,) int8 tags.
 
-    Indexing with an integer, and iteration, give LatticeSite views; any
-    other index (slice, index array, boolean mask) gives a Lattice.
+    Indexing with an integer, and iteration, give LatticeSite views; a
+    slice, index array or boolean mask gives a Lattice. A bool scalar is
+    not an index: it raises TypeError.
     """
 
     __slots__ = ("quarter", "shell", "sublattice")
@@ -78,15 +80,21 @@ class Lattice(Sequence):
         return len(self.shell)
 
     def __getitem__(self, i):
+        if isinstance(i, (bool, np.bool_)):
+            kind = type(i)
+            raise TypeError("a lattice index must be an integer, slice, "
+                            "index array or boolean mask, not a bool "
+                            f"scalar ({kind.__module__}.{kind.__name__})")
         if isinstance(i, (int, np.integer)):
             return LatticeSite(tuple(self.quarter[i].tolist()),
                                int(self.shell[i]), int(self.sublattice[i]))
         return Lattice(self.quarter[i], self.shell[i], self.sublattice[i])
 
     def __iter__(self):
-        return map(LatticeSite._make, zip(map(tuple, self.quarter.tolist()),
-                                          self.shell.tolist(),
-                                          self.sublattice.tolist()))
+        # tuple.__new__(LatticeSite, row) builds each view in C
+        return map(tuple.__new__, itertools.repeat(LatticeSite),
+                   zip(map(tuple, self.quarter.tolist()),
+                       self.shell.tolist(), self.sublattice.tolist()))
 
 
 def as_lattice(sites) -> Lattice:
@@ -129,7 +137,7 @@ def generate_lattice(radius_angstrom: float) -> Lattice:
             f"~{MAX_SITES * BYTES_PER_SITE / 1e9:.1f} GB to generate and "
             "classify)")
 
-    qmax = radius_angstrom / (LATTICE_A_ANGSTROM / 4.0)
+    qmax = radius_angstrom / _A4
     m = int(qmax)
     b = (2 * m).bit_length()
     keys = []
@@ -163,7 +171,7 @@ def generate_lattice(radius_angstrom: float) -> Lattice:
 
 def positions_of(sites) -> np.ndarray:
     """(N, 3) site positions in Angstrom, from the quarter coordinates."""
-    return as_lattice(sites).quarter * (LATTICE_A_ANGSTROM / 4.0)
+    return as_lattice(sites).quarter * _A4
 
 
 # Canonical third distance class (d^2 = 11 quarter units): 12 sites in C3v
@@ -203,7 +211,7 @@ def classify_shells(sites, radius_angstrom=None) -> Lattice:
         warnings.warn("outermost shell is not C3v-closed; the site list "
                       "appears truncated mid-shell", stacklevel=2)
     if radius_angstrom is not None:
-        outer_d = LATTICE_A_ANGSTROM / 4.0 * math.sqrt(outer_d2)
+        outer_d = _A4 * math.sqrt(outer_d2)
         if radius_angstrom - outer_d < 1e-6:
             warnings.warn("outermost shell lies at the radius boundary; "
                           "treat it as possibly incomplete", stacklevel=2)
@@ -216,7 +224,7 @@ def shell_summary(sites) -> dict:
     shells, first, counts = np.unique(lat.shell, return_index=True,
                                       return_counts=True)
     d2 = _squared_norms(lat.quarter[first]).tolist()
-    return {shell: (count, LATTICE_A_ANGSTROM / 4.0 * math.sqrt(q2))
+    return {shell: (count, _A4 * math.sqrt(q2))
             for shell, count, q2 in zip(shells.tolist(), counts.tolist(), d2)
             if shell != 0}
 
@@ -240,14 +248,20 @@ class BathSample:
         return len(self.site_indices)
 
 
-def bath_stream(seed) -> np.random.Generator:
-    """The counter-based Philox generator keyed by seed, an integer in
-    [0, 2**128): the one random stream of every bath draw, reproducible
-    bit-identically across platforms."""
+def check_seed(seed) -> int:
+    """seed as a Python int; ValidationError unless it is an integer in
+    [0, 2**128), the key range of bath_stream."""
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 128):
         raise ValidationError(
             f"seed must be an integer in [0, 2**128), got {seed!r}")
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    return int(seed)
+
+
+def bath_stream(seed) -> np.random.Generator:
+    """The counter-based Philox generator keyed by seed (see check_seed):
+    the one random stream of every bath draw, reproducible bit-identically
+    across platforms."""
+    return np.random.Generator(np.random.Philox(key=check_seed(seed)))
 
 
 def sample_bath(sites, n: float, seed: int) -> BathSample:

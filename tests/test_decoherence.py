@@ -1,5 +1,6 @@
 """Decay models, the LM fitter, Bell dephasing rules and bath ensembles."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -7,15 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nvbath import _kernels
 from nvbath.constants import NN_DIPOLAR_KHZ_A3
 from nvbath.decoherence import (
     BATH_CHUNK_SAMPLES,
+    MAX_BATH_SAMPLES,
     MIN_BATH_SAMPLES,
     MIN_FIT_POINTS,
     MODELS,
     REFERENCE_T2_SCALING_POINTS,
     DecayCurve,
     PairCouplings,
+    _bath_phases,
     _occupied_cells,
     bell_t2star_from_sq,
     echo_model,
@@ -26,7 +30,7 @@ from nvbath.decoherence import (
     pair_couplings,
     simulate_bath_fid,
 )
-from nvbath.errors import FitError, ValidationError
+from nvbath.errors import FitError, ResourceLimitError, ValidationError
 from nvbath.lattice import classify_shells, generate_lattice
 
 
@@ -324,6 +328,108 @@ def test_draw_memory_follows_the_occupied_cells():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def test_single_quantum_envelopes_are_the_reference_phase_rates():
+    # theta1 and theta2 are the signs . 2e-3 pi c sums of the reference
+    # draw, added in site order; sq1 and sq2 take them as they are
+    c1 = np.array([3.0, 0.0, 7.0, 1.5, 0.2])
+    c2 = np.array([0.5, 2.0, 0.0, 4.0, 0.0])
+    t = np.linspace(0.0, 3.0, 31) * 1e3
+    n, p, seed = 2 * BATH_CHUNK_SAMPLES + 37, 0.4, 13
+    spins = _reference_spins(seed, n, 5, p)
+    _bath_phases.cache_clear()
+    got = _bath_phases(c1.tobytes(), c2.tobytes(), n, seed, p)
+    for kind, c, theta in (("sq1", c1, got[0]), ("sq2", c2, got[1])):
+        omega = 2.0e-3 * math.pi * c
+        want = np.zeros(n)
+        for k in range(len(c)):
+            want = want + spins[:, k] * omega[k]
+        assert want.tobytes() == theta.tobytes()
+        total = np.zeros(len(t))
+        for start in range(0, n, BATH_CHUNK_SAMPLES):
+            total += _kernels.phase_envelope(
+                want[start:start + BATH_CHUNK_SAMPLES], t)
+        env = simulate_bath_fid(_two_site_couplings(c1, c2), kind, t,
+                                n_samples=n, seed=seed, occupancy=p)
+        assert env.signal.tobytes() == (total / n).tobytes()
+
+
+def test_kinds_share_one_memoized_draw_in_any_order():
+    t = np.linspace(0.0, 3.0, 31) * 1e3
+    baths = {"a": _two_site_couplings([3.0, 0.0, 7.0, 1.5],
+                                      [0.5, 2.0, 0.0, 4.0]),
+             "b": _two_site_couplings([2.0, 5.0, 0.0], [1.0, 0.0, 6.0])}
+
+    def call(bath, seed, kind):
+        return simulate_bath_fid(baths[bath], kind, t, n_samples=300,
+                                 seed=seed, occupancy=0.3).signal
+
+    fresh = {}
+    for key in itertools.product(baths, (5, 6), _WEIGHTS):
+        _bath_phases.cache_clear()
+        fresh[key] = call(*key)
+    _bath_phases.cache_clear()
+    for kind in _WEIGHTS:
+        call("a", 5, kind)
+    info = _bath_phases.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    for order in itertools.permutations(_WEIGHTS):
+        for i, kind in enumerate(order):
+            keys = [("a", 5, kind)]
+            if i == 1:  # a second bath, then a second seed, between kinds
+                keys += [("b", 5, kind), ("a", 6, kind)]
+            for key in keys:
+                assert call(*key).tobytes() == fresh[key].tobytes(), key
+
+
+def test_couplings_changed_in_place_are_drawn_again():
+    t = np.linspace(0.0, 3.0, 31) * 1e3
+    cpl = _two_site_couplings([3.0, 0.0, 7.0], [0.5, 2.0, 0.0])
+    before = simulate_bath_fid(cpl, "phi", t, n_samples=300, seed=5,
+                               occupancy=0.3)
+    cpl.c1_khz[0] = 9.0
+    after = simulate_bath_fid(cpl, "phi", t, n_samples=300, seed=5,
+                              occupancy=0.3)
+    _bath_phases.cache_clear()
+    want = simulate_bath_fid(_two_site_couplings([9.0, 0.0, 7.0],
+                                                 [0.5, 2.0, 0.0]),
+                             "phi", t, n_samples=300, seed=5, occupancy=0.3)
+    assert after.signal.tobytes() == want.signal.tobytes()
+    assert not np.array_equal(after.signal, before.signal)
+
+
+def test_zero_phase_baths_are_exactly_one_without_a_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("random stream opened for a zero-phase bath")
+
+    monkeypatch.setattr(np.random, "Philox", no_draw)
+    c = np.array([4.0, 0.0, 9.0, 1.5])
+    t = np.linspace(0.0, 2.0, 11) * 1e3
+    for couplings, kind in ((_two_site_couplings(c, c.copy()), "psi"),
+                            (_two_site_couplings([0.0, 0.0], [0.0, 0.0]),
+                             "phi"),
+                            (_two_site_couplings([], []), "sq1")):
+        env = simulate_bath_fid(couplings, kind, t, n_samples=300, seed=7,
+                                occupancy=0.3)
+        assert np.all(env.signal == 1.0)
+        for kwargs in ({"seed": -1}, {"seed": 2.5},
+                       {"t_us": [0.0, 1.0, 3.0]}):
+            args = {"n_samples": 300, "seed": 7, "t_us": t, **kwargs}
+            with pytest.raises(ValidationError):
+                simulate_bath_fid(couplings, kind, **args)
+
+
+def test_sample_cap_is_checked_before_the_stream_opens(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("random stream opened above the sample cap")
+
+    monkeypatch.setattr(np.random, "Philox", no_draw)
+    couplings = _two_site_couplings([1.0, 2.0], [0.0, 3.0])
+    t = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ResourceLimitError, match="cap"):
+        simulate_bath_fid(couplings, "phi", t,
+                          n_samples=MAX_BATH_SAMPLES + 1, seed=1)
 
 
 def test_occupied_cell_count_is_binomial():

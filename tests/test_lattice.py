@@ -22,6 +22,7 @@ from nvbath.lattice import (
     BYTES_PER_SITE,
     SITE_DENSITY_A3,
     Lattice,
+    LatticeSite,
     classify_shells,
     generate_lattice,
     positions_of,
@@ -77,6 +78,15 @@ def test_lattice_sequence_views():
     assert list(lat[lat.shell == 3]) == [s for s in sites if s.shell == 3]
     with pytest.raises(ValueError):
         lat.shell[0] = 7  # classify_shells shares arrays between lattices
+    # views are LatticeSite, not plain tuples with equal contents
+    assert all(type(s) is LatticeSite for s in lat)
+    assert all(type(lat[i]) is LatticeSite
+               for i in (0, -1, np.int64(3), np.int32(7)))
+    # a bool scalar is not an integer index; a boolean mask is a mask
+    for flag in (True, np.True_, False, np.False_):
+        with pytest.raises(TypeError, match="bool scalar"):
+            lat[flag]
+    assert len(lat[np.ones(len(lat), dtype=bool)]) == len(lat)
 
 
 def _closed_form_site_count(radius):
