@@ -63,8 +63,9 @@ class Lattice(Sequence):
     (0 = unclassified) and ``sublattice`` (N,) int8 tags.
 
     Indexing with an integer, and iteration, give LatticeSite views; a
-    slice, index array or boolean mask gives a Lattice. A bool scalar is
-    not an index: it raises TypeError.
+    slice, index array or boolean mask gives a Lattice. A 0-d array is
+    taken as its scalar. A bool scalar is not an index: it raises
+    TypeError.
     """
 
     __slots__ = ("quarter", "shell", "sublattice")
@@ -80,6 +81,8 @@ class Lattice(Sequence):
         return len(self.shell)
 
     def __getitem__(self, i):
+        if isinstance(i, np.ndarray) and i.ndim == 0:
+            i = i[()]  # a 0-d array indexes as its scalar
         if isinstance(i, (bool, np.bool_)):
             kind = type(i)
             raise TypeError("a lattice index must be an integer, slice, "

@@ -24,8 +24,8 @@ import numpy as np
 from .constants import NUCLEAR_MHZ_PER_GAUSS
 from .decoherence import DecayCurve
 from .errors import (AmbiguousTransitionError, ValidationError)
-from .spinsys import (SX1, SY1, SZ1, SpinSystemSpec, build_hamiltonian,
-                      diagonalize, single_nucleus_hamiltonians)
+from .spinsys import (SX1, SY1, SZ1, SpinSystemSpec, diagonalize,
+                      eigensystem, single_nucleus_hamiltonians)
 
 DEGENERACY_TOL_MHZ = 1e-9
 
@@ -87,7 +87,7 @@ class Register:
 
     def __init__(self, spec: SpinSystemSpec):
         self.spec = spec
-        self.eig = diagonalize(build_hamiltonian(spec))
+        self.eig = eigensystem(spec)
         self.n_nuclei = spec.n_nuclei
         self.dim = spec.dim
         self.label_codes, self.label_overlap, self.label_contrast = \

@@ -323,6 +323,29 @@ def diagonalize(h: np.ndarray) -> EigenSystem:
     return EigenSystem(values=vals, vectors=vecs)
 
 
+# The last spec's eigensystem, keyed by the bytes of every input that
+# build_hamiltonian reads: equal bytes give a bitwise-equal H. Spec equality
+# is not the key, since -0.0 == 0.0.
+_EIGEN_MEMO = {}
+
+
+def eigensystem(spec: SpinSystemSpec) -> EigenSystem:
+    """diagonalize(build_hamiltonian(spec)), solved once while callers ask
+    for the same spec in turn: the last solve is kept (16 d^2 + 8 d bytes)
+    and shared, with read-only values and vectors."""
+    key = (np.array([spec.zfs.d_mhz, *spec.zfs.axis, spec.field.gauss,
+                     *spec.field.direction], dtype=float).tobytes(),
+           spec.tensors.tobytes())
+    eig = _EIGEN_MEMO.get(key)
+    if eig is None:
+        eig = diagonalize(build_hamiltonian(spec))
+        eig.values.flags.writeable = False
+        eig.vectors.flags.writeable = False
+        _EIGEN_MEMO.clear()
+        _EIGEN_MEMO[key] = eig
+    return eig
+
+
 class TransitionLine(NamedTuple):
     """One ESR line: frequency (MHz), normalized intensity, level indices;
     the fields are the columns of spectrum_lines.csv."""
@@ -345,7 +368,7 @@ def esr_transitions(spec: SpinSystemSpec, window=None, floor=1e-4):
         lo, hi = float(window[0]), float(window[1])
         if not hi > lo:
             raise ValidationError("window must satisfy f_max > f_min")
-    eig = diagonalize(build_hamiltonian(spec))
+    eig = eigensystem(spec)
     ref = spec.field.direction if spec.field.gauss > 0 else spec.zfs.axis
     e1, _, _ = orthonormal_frame(np.asarray(ref, dtype=float))
     sxp = np.kron(e1[0] * SX1 + e1[1] * SY1 + e1[2] * SZ1,

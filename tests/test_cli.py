@@ -526,6 +526,61 @@ def test_register_commands_write_golden_bytes(tmp_path):
             for name in GOLDEN_SHA256} == GOLDEN_SHA256
 
 
+REGISTER_COMMANDS = {
+    "spectrum": ["spectrum"],
+    "sequence": ["pulse", "--sequence", "{seq}"],
+    "rabi": ["pulse", "--rabi", "rf", "19", "24", "--t-max", "8",
+             "--points", "101", "--power", "1.3"],
+}
+
+
+def register_command_outputs(tmp_path, inputs, order, clear):
+    """stdout and files of the REGISTER_COMMANDS in the given order on the
+    golden config, each in its own output directory; with clear, the
+    eigensystem memo is emptied before each command."""
+    outputs = {}
+    for key in order:
+        if clear:
+            nvbath.spinsys._EIGEN_MEMO.clear()
+        out = tmp_path / key
+        argv = [a.format(seq=inputs / "seq.txt")
+                for a in REGISTER_COMMANDS[key]]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv + ["--config", str(inputs / "register.json"),
+                                "--out-dir", str(out)]) == 0
+        outputs[f"{key}/stdout"] = stdout.getvalue().replace(str(out), "OUT")
+        outputs.update((f"{key}/{p.name}", p.read_bytes())
+                       for p in out.glob("*"))
+    return outputs
+
+
+def test_register_commands_agree_in_any_order(tmp_path, monkeypatch,
+                                              fresh_eigensystem):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "register.json").write_text(json.dumps(GOLDEN_CONFIG))
+    (inputs / "seq.txt").write_text(GOLDEN_SEQUENCE)
+    calls = []
+    diagonalize = nvbath.spinsys.diagonalize
+    monkeypatch.setattr(nvbath.spinsys, "diagonalize",
+                        lambda h: calls.append(h.shape) or diagonalize(h))
+    runs = {}
+    for name, order, clear in (
+            ("forward", ("spectrum", "sequence", "rabi"), False),
+            ("backward", ("rabi", "sequence", "spectrum"), False),
+            ("cleared", ("spectrum", "sequence", "rabi"), True)):
+        calls.clear()
+        fresh_eigensystem.clear()  # each run starts cold
+        runs[name] = register_command_outputs(tmp_path / name, inputs,
+                                              order, clear)
+        solves = calls.count((192, 192))
+        assert solves == (3 if clear else 1), name
+    assert len(runs["forward"]) == 7  # 3 stdouts and 4 files
+    assert runs["backward"] == runs["forward"]
+    assert runs["cleared"] == runs["forward"]
+
+
 # Every other subcommand, run once each. The digests of each command's
 # files and of its stdout (with the output directory replaced by OUT) were
 # recorded from the code before the bath draw lost its dense p = 1 branch

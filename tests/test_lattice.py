@@ -81,9 +81,11 @@ def test_lattice_sequence_views():
     # views are LatticeSite, not plain tuples with equal contents
     assert all(type(s) is LatticeSite for s in lat)
     assert all(type(lat[i]) is LatticeSite
-               for i in (0, -1, np.int64(3), np.int32(7)))
+               for i in (0, -1, np.int64(3), np.int32(7), np.array(3)))
+    assert lat[np.array(-2)] == sites[-2]  # a 0-d array is its scalar
     # a bool scalar is not an integer index; a boolean mask is a mask
-    for flag in (True, np.True_, False, np.False_):
+    for flag in (True, np.True_, False, np.False_, np.array(True),
+                 np.array(False)):
         with pytest.raises(TypeError, match="bool scalar"):
             lat[flag]
     assert len(lat[np.ones(len(lat), dtype=bool)]) == len(lat)

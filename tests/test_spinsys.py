@@ -17,6 +17,7 @@ from nvbath.constants import (BOHR_MAGNETON, G_ELECTRON_NV, G_NUCLEAR_C13,
                               NUCLEAR_MAGNETON, PLANCK_H)
 import nvbath.spinsys as spinsys
 from nvbath.errors import ResourceLimitError, ValidationError
+from nvbath.pulses import Register
 from nvbath.spinsys import (
     EigenSystem,
     HyperfineTensor,
@@ -25,6 +26,7 @@ from nvbath.spinsys import (
     ZfsParams,
     build_hamiltonian,
     diagonalize,
+    eigensystem,
     esr_transitions,
     first_shell_tensor,
     single_nucleus_hamiltonians,
@@ -177,6 +179,68 @@ def test_eigen_reconstruction():
     rebuilt = eig.vectors @ np.diag(eig.values) @ eig.vectors.conj().T
     assert np.max(np.abs(h - rebuilt)) <= 1e-8
     assert np.all(np.diff(eig.values) >= 0)
+
+
+def _register_spec(gauss=83.0, a_par=None):
+    """Field along [111] and three nuclei; a_par replaces the last one's
+    A_par."""
+    last = third_shell_tensor()
+    if a_par is not None:
+        last = HyperfineTensor(a_par, last.a_perp_mhz)
+    return SpinSystemSpec(field=ZeemanField.along((1, 1, 1), gauss),
+                          hyperfine=(first_shell_tensor(30.0),
+                                     first_shell_tensor(150.0), last))
+
+
+def test_eigensystem_is_the_diagonalized_hamiltonian():
+    spec = _register_spec()
+    eig = eigensystem(spec)
+    want = diagonalize(build_hamiltonian(spec))
+    assert eig.values.tobytes() == want.values.tobytes()
+    assert eig.vectors.tobytes() == want.vectors.tobytes()
+    for arr in (eig.values, eig.vectors):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert want.values.flags.writeable  # diagonalize itself is unchanged
+
+
+def test_eigensystem_solves_each_spec_once_in_a_row(monkeypatch):
+    calls = []
+    solve = spinsys.diagonalize
+    monkeypatch.setattr(spinsys, "diagonalize",
+                        lambda h: calls.append(h.shape) or solve(h))
+    spec = _register_spec()
+    eig = eigensystem(spec)
+    assert eigensystem(_register_spec()) is eig  # equal, built separately
+    assert calls == [(24, 24)]
+    a_par = third_shell_tensor().a_par_mhz
+    for other in (_register_spec(gauss=math.nextafter(83.0, math.inf)),
+                  _register_spec(a_par=math.nextafter(a_par, math.inf))):
+        assert other != spec
+        again = eigensystem(other)
+        assert again is not eig and eigensystem(other) is again
+    assert calls == [(24, 24)] * 3
+    # one entry: going back to the first spec solves it again
+    assert eigensystem(spec) is not eig
+    assert calls == [(24, 24)] * 4
+    # equal specs whose bytes differ (-0.0 == 0.0) are not one key
+    zero = SpinSystemSpec(field=ZeemanField(0.0))
+    minus_zero = SpinSystemSpec(field=ZeemanField(-0.0))
+    assert zero == minus_zero
+    assert eigensystem(zero) is not eigensystem(minus_zero)
+    assert calls[4:] == [(3, 3)] * 2
+
+
+def test_register_after_a_spectrum_has_the_fresh_labels(fresh_eigensystem):
+    spec = _register_spec()
+    fresh = Register(spec)
+    fresh_eigensystem.clear()
+    esr_transitions(_register_spec())
+    shared = Register(spec)
+    assert shared.eig is eigensystem(spec)
+    for name in ("label_codes", "label_overlap", "label_contrast"):
+        got, want = getattr(shared, name), getattr(fresh, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_bare_lines_at_83_gauss():
