@@ -16,7 +16,7 @@ from .spinsys import (HyperfineTensor, SpinSystemSpec, Spectrum,
                       build_hamiltonian, diagonalize, esr_transitions,
                       first_shell_tensor, synth_spectrum,
                       third_shell_tensor)
-from .lattice import (BathSample, Lattice, LatticeSite, classify_shells,
+from .lattice import (Lattice, LatticeSite, classify_shells,
                       generate_lattice, sample_bath, shell_summary)
 from .linewidth import (LinewidthPoint, contact_linewidth,
                         dipolar_linewidth_closed_form,

@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .decoherence import DecayCurve, fit_decay, MODELS
 from .errors import FitError, ResourceLimitError, ValidationError
-from .lattice import (classify_shells, generate_lattice, sample_bath,
-                      shell_summary)
+from .lattice import (classify_shells, generate_lattice, positions_of,
+                      sample_bath, shell_summary)
 from .linewidth import (DIPOLAR_COEFF_CM6, dipolar_second_moment_sum,
                         linewidth_curve)
 from .pulses import (BELL_VARIANTS, Register, bell_dephasing_fidelity,
@@ -177,10 +177,10 @@ def _parse_floats(text: str, what: str):
 
 
 def _read_csv_rows(path, widths):
-    """Numeric rows of a comma-separated file, each with one of the column
-    counts in widths (all rows alike). Blank lines, '#' comments and header
-    rows before the first data row are skipped; bad rows are reported with
-    their line number."""
+    """Finite numeric rows of a comma-separated file, each with one of the
+    column counts in widths (all rows alike). Blank lines, '#' comments and
+    header rows before the first data row are skipped; bad rows are
+    reported with their line number."""
     rows = []
     try:
         fh = open(path, encoding="utf-8")
@@ -205,6 +205,9 @@ def _read_csv_rows(path, widths):
                 raise ValidationError(
                     f"{path}: line {ln}: non-numeric value in {line!r}") \
                     from None
+            if not all(map(math.isfinite, vals)):
+                raise ValidationError(
+                    f"{path}: line {ln}: non-finite value in {line!r}")
             if rows and len(vals) != len(rows[0]):
                 raise ValidationError(
                     f"{path}: line {ln}: expected {len(rows[0])} columns, "
@@ -310,13 +313,8 @@ def cmd_spectrum(args) -> int:
     window = cfg["window_mhz"]
     if window is not None:
         window = _numbers(window, "window_mhz")
-        if len(window) != 2:
-            raise ValidationError("window needs exactly two values: lo,hi")
     spec = _system_from_config(cfg)
     floor = _number(cfg["intensity_floor"], "intensity_floor")
-    if not 0.0 <= floor <= 1.0:
-        raise ValidationError(
-            f"intensity_floor must be finite and in [0, 1], got {floor:g}")
     fwhm = check_fwhm(_number(cfg["fwhm_mhz"], "fwhm_mhz"))
     grid = cfg["grid_mhz"]
     if grid is not None:
@@ -364,6 +362,8 @@ def cmd_linewidth(args) -> int:
         "lattice_radius_angstrom": args.from_lattice,
     }
     cfg, out = _effective(args, _LINEWIDTH_DEFAULTS, overrides)
+    measured = (_read_csv_rows(args.overlay, (2,))  # n, w_mhz
+                if args.plot and args.overlay else None)
     if cfg["concentrations"] is not None:
         n_values = np.asarray(_numbers(cfg["concentrations"],
                                        "concentrations"))
@@ -394,10 +394,9 @@ def cmd_linewidth(args) -> int:
                    "label": "contact"},
                   {"x": n_values, "y": [p.w_dipolar_mhz for p in points],
                    "label": "dipolar"}]
-        if args.overlay:
-            pts = _read_csv_rows(args.overlay, (2,))  # n, w_mhz
-            series.append({"x": [p[0] for p in pts],
-                           "y": [p[1] for p in pts],
+        if measured is not None:
+            series.append({"x": [p[0] for p in measured],
+                           "y": [p[1] for p in measured],
                            "label": "measured", "points": True})
         out.svg("linewidth.svg", series, xlabel="13C fraction",
                 ylabel="FWHM (MHz)", title="inhomogeneous linewidth",
@@ -454,13 +453,13 @@ def cmd_bath(args) -> int:
     radius = _number(cfg["radius_angstrom"], "radius_angstrom")
     n = _number(cfg["concentration"], "concentration")
     sites = classify_shells(generate_lattice(radius), radius_angstrom=radius)
-    sample = sample_bath(sites, n, args.seed)
+    idx = sample_bath(sites, n, args.seed)
     summary = shell_summary(sites)
     inner = ", ".join(f"shell {s}: {mult} @ {dist:.3f} A" for s, (mult, dist)
                       in sorted(summary.items())[:4])
     _say(f"{len(sites)} sites within {cfg['radius_angstrom']} Angstrom "
          f"({inner}, ...)")
-    _say(f"occupied {sample.count} sites at n = {n:g} (seed {args.seed})")
+    _say(f"occupied {len(idx)} sites at n = {n:g} (seed {args.seed})")
     try:
         coeff = dipolar_second_moment_sum(sites)
         _say(f"second-moment coefficient {coeff:.4e} cm^-6 = "
@@ -471,8 +470,8 @@ def cmd_bath(args) -> int:
     out.csv("bath_sites.csv",
             ("x_angstrom", "y_angstrom", "z_angstrom", "shell"),
             [(x, y, z, shell) for (x, y, z), shell in
-             zip(sample.positions.tolist(),
-                 sites.shell[sample.site_indices].tolist())])
+             zip(positions_of(sites[idx]).tolist(),
+                 sites.shell[idx].tolist())])
     return EXIT_OK
 
 
@@ -503,8 +502,9 @@ def cmd_pulse(args) -> int:
         raise ValidationError("--points must be at least 1")
     _check_sweep(args.points, "--points")
     for flag, value in (("--t-max", args.t_max), ("--power", args.power)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{flag} must be finite, got {value:g}")
+        if not (value > 0 and math.isfinite(value)):
+            raise ValidationError(
+                f"{flag} must be positive and finite, got {value:g}")
     modes = [m for m in ("sequence", "rabi", "bell", "endor")
              if getattr(args, m) is not None]
     if len(modes) != 1:
@@ -542,13 +542,13 @@ def cmd_pulse(args) -> int:
             raise ValidationError("--rabi takes CHANNEL I J with integer "
                                   "level indices") from None
         t = np.linspace(0.0, args.t_max, args.points)
-        curve, omega = rabi_simulate(register, channel.lower(), i, j, t,
-                                     power=args.power)
+        pop, omega = rabi_simulate(register, channel.lower(), i, j, t,
+                                   power=args.power)
         _say(f"Rabi frequency {omega:.6g} MHz at power {args.power:g}")
         out.csv("rabi.csv", ("t_us", "population"),
-                zip(t.tolist(), curve.signal.tolist()))
+                zip(t.tolist(), pop.tolist()))
         if args.plot:
-            out.svg("rabi.svg", [{"x": t, "y": curve.signal}],
+            out.svg("rabi.svg", [{"x": t, "y": pop}],
                     xlabel="t (us)", ylabel="transfer probability",
                     title="Rabi oscillation")
         return EXIT_OK

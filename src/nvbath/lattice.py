@@ -12,7 +12,6 @@ import itertools
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -238,19 +237,6 @@ def check_concentration(n: float):
         raise ValidationError("concentration must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class BathSample:
-    """One random 13C occupation of a site list: the occupied site indices
-    and their positions (Angstrom)."""
-
-    site_indices: np.ndarray
-    positions: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return len(self.site_indices)
-
-
 def check_seed(seed) -> int:
     """seed as a Python int; ValidationError unless it is an integer in
     [0, 2**128), the key range of bath_stream."""
@@ -267,16 +253,14 @@ def bath_stream(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=check_seed(seed)))
 
 
-def sample_bath(sites, n: float, seed: int) -> BathSample:
-    """Occupy each site independently with probability n.
+def sample_bath(sites, n: float, seed: int) -> np.ndarray:
+    """Occupy each site independently with probability n: the ascending
+    indices of the occupied sites.
 
     Draws come from bath_stream(seed), so site i always sees the same
     uniform variate for a given seed regardless of how many sites are
     sampled.
     """
     check_concentration(n)
-    lat = as_lattice(sites)
-    u = bath_stream(seed).random(len(lat))
-    idx = np.flatnonzero(u < n)
-    pos = positions_of(lat[idx])
-    return BathSample(site_indices=idx, positions=pos)
+    u = bath_stream(seed).random(len(as_lattice(sites)))
+    return np.flatnonzero(u < n)

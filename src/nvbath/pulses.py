@@ -22,10 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import NUCLEAR_MHZ_PER_GAUSS
-from .decoherence import DecayCurve
 from .errors import (AmbiguousTransitionError, ValidationError)
-from .spinsys import (SX1, SY1, SZ1, SpinSystemSpec, diagonalize,
-                      eigensystem, single_nucleus_hamiltonians)
+from .spinsys import (SpinSystemSpec, diagonalize, eigensystem,
+                      single_nucleus_hamiltonians, spin1_along)
 
 DEGENERACY_TOL_MHZ = 1e-9
 
@@ -101,8 +100,7 @@ class Register:
     def _electron_states(self):
         """Columns: the electron states m_s = +1, 0, -1 along the ZFS
         axis."""
-        axis = np.asarray(self.spec.zfs.axis, dtype=float)
-        s_axis = axis[0] * SX1 + axis[1] * SY1 + axis[2] * SZ1
+        s_axis = spin1_along(np.asarray(self.spec.zfs.axis, dtype=float))
         return np.linalg.eigh(s_axis)[1][:, ::-1]  # eigh sorts -1, 0, +1
 
     def _nuclear_spinors(self, evec):
@@ -632,12 +630,12 @@ def rabi_frequency_mhz(register: Register, channel: str, i: int, j: int,
 
 def rabi_simulate(register: Register, channel: str, i: int, j: int, t_us,
                   power: float = 1.0):
-    """Resonantly driven two-level population transfer: returns the
-    population of level j versus drive duration, sin^2(pi Omega t)."""
+    """Resonantly driven two-level population transfer: (population of
+    level j at each drive duration in t_us, sin^2(pi Omega t), and the Rabi
+    frequency Omega in MHz)."""
     _validate_target(register, Pulse(channel, i, j, math.pi))
     t = np.asarray(t_us, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValidationError("times must be finite")
     omega = rabi_frequency_mhz(register, channel, i, j, power)
-    pop = np.sin(math.pi * omega * t) ** 2
-    return DecayCurve(t_us=t, signal=pop), omega
+    return np.sin(math.pi * omega * t) ** 2, omega

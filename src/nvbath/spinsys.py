@@ -219,6 +219,11 @@ class SpinSystemSpec:
         return 3 * 2 ** self.n_nuclei
 
 
+def spin1_along(v) -> np.ndarray:
+    """The 3x3 spin-1 operator v . S = v_x S_x + v_y S_y + v_z S_z."""
+    return v[0] * SX1 + v[1] * SY1 + v[2] * SZ1
+
+
 def electron_ops(spec: SpinSystemSpec):
     """(Sx, Sy, Sz) embedded in the full register space."""
     ops = (SX1, SY1, SZ1)
@@ -243,10 +248,9 @@ def _electron_terms(spec: SpinSystemSpec, nuclear_dim: int) -> np.ndarray:
     # the ZFS square is a full-size product: BLAS rounds it differently at
     # each matrix size, and the operator sum defines H at this size
     eye = np.eye(nuclear_dim)
-    s_axis = np.kron(axis[0] * SX1 + axis[1] * SY1 + axis[2] * SZ1, eye)
+    s_axis = np.kron(spin1_along(axis), eye)
     h = spec.zfs.d_mhz * (s_axis @ s_axis)
-    return h + np.kron(ELECTRON_MHZ_PER_GAUSS
-                       * (bvec[0] * SX1 + bvec[1] * SY1 + bvec[2] * SZ1), eye)
+    return h + np.kron(ELECTRON_MHZ_PER_GAUSS * spin1_along(bvec), eye)
 
 
 def _with_nucleus(blocks, a, spec: SpinSystemSpec):
@@ -362,17 +366,23 @@ def esr_transitions(spec: SpinSystemSpec, window=None, floor=1e-4):
     S_x' is the electron spin operator along a deterministic direction
     transverse to the static field (or to the ZFS axis at zero field).
     Intensities are normalized to unit sum over the requested frequency
-    window, then lines weaker than ``floor`` are dropped.
+    window, then lines weaker than ``floor`` are dropped. window is
+    (f_min, f_max) in MHz and floor lies in [0, 1]; both are checked before
+    the Hamiltonian is solved.
     """
     if window is not None:
+        if len(window) != 2:
+            raise ValidationError("window needs exactly two values: lo,hi")
         lo, hi = float(window[0]), float(window[1])
         if not hi > lo:
             raise ValidationError("window must satisfy f_max > f_min")
+    if not 0.0 <= floor <= 1.0:
+        raise ValidationError(
+            f"intensity_floor must be finite and in [0, 1], got {floor:g}")
     eig = eigensystem(spec)
     ref = spec.field.direction if spec.field.gauss > 0 else spec.zfs.axis
     e1, _, _ = orthonormal_frame(np.asarray(ref, dtype=float))
-    sxp = np.kron(e1[0] * SX1 + e1[1] * SY1 + e1[2] * SZ1,
-                  np.eye(2 ** spec.n_nuclei))
+    sxp = np.kron(spin1_along(e1), np.eye(2 ** spec.n_nuclei))
     m = eig.vectors.conj().T @ sxp @ eig.vectors
     w2 = np.abs(m) ** 2
 
@@ -395,18 +405,10 @@ def esr_transitions(spec: SpinSystemSpec, window=None, floor=1e-4):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sampled line profile on a uniform frequency grid."""
+    """Sampled line profile on the uniform grid of synth_spectrum."""
 
     freq_mhz: np.ndarray
     intensity: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.freq_mhz, dtype=float)
-        if len(f) < 2:
-            raise ValidationError("spectrum grid needs at least 2 points")
-        df = np.diff(f)
-        if not (np.all(df > 0) and np.allclose(df, df[0], rtol=1e-9)):
-            raise ValidationError("spectrum grid must be uniform increasing")
 
 
 def check_fwhm(fwhm_mhz: float) -> float:
@@ -421,7 +423,7 @@ def check_fwhm(fwhm_mhz: float) -> float:
 
 def check_grid(grid):
     """(start, step, count) of a grid (f_start, f_stop, step) in MHz of
-    finite values, running upward, of at most MAX_GRID_POINTS points."""
+    finite values, running upward, of 2 to MAX_GRID_POINTS points."""
     if len(grid) != 3:
         raise ValidationError("grid needs exactly three values: start,stop,step")
     start, stop, step = (float(x) for x in grid)
@@ -437,6 +439,8 @@ def check_grid(grid):
             f"~{count * BYTES_PER_GRID_POINT / 1e9:.3g} GB to synthesize and "
             f"write (cap {MAX_GRID_POINTS:.0e} points, "
             f"~{MAX_GRID_POINTS * BYTES_PER_GRID_POINT / 1e9:.2g} GB)")
+    if count < 2:
+        raise ValidationError("spectrum grid needs at least 2 points")
     return start, step, int(count)
 
 

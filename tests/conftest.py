@@ -2,12 +2,15 @@
 
 import pytest
 
+import nvbath.decoherence
 import nvbath.spinsys
 
 
 @pytest.fixture(autouse=True)
 def fresh_eigensystem():
-    """The memo of spinsys.eigensystem, emptied before every test, so that
-    no test sees a solve left by another and each counts its own."""
+    """The memos of spinsys.eigensystem and of the bath draw, emptied before
+    every test, so that no test sees a solve or a draw left by another and
+    each counts its own."""
+    nvbath.decoherence._bath_phases.cache_clear()
     nvbath.spinsys._EIGEN_MEMO.clear()
     return nvbath.spinsys._EIGEN_MEMO

@@ -180,6 +180,21 @@ def test_linewidth_overlay_header_after_comment(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_linewidth_overlay_non_finite_value_exits_two(tmp_path, capsys,
+                                                      value):
+    # nan drew <circle cx="nan">; inf crashed the log-axis ticks
+    overlay = tmp_path / "meas.csv"
+    overlay.write_text(f"n,w_mhz\n0.011,0.5\n{value},2\n")
+    out = tmp_path / "out"
+    assert main(["linewidth", "--concentrations", "0.001,0.01", "--plot",
+                 "--overlay", str(overlay), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == \
+        f"error: {overlay}: line 3: non-finite value in '{value},2'\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_fit_recovers_parameters(tmp_path):
     t = np.linspace(0.0, 40.0, 80)
     y = fid_model(t, 13.3, 0.9, 0.5, 0.5)
@@ -428,7 +443,8 @@ def test_fwhm_is_checked_before_diagonalizing(tmp_path, monkeypatch):
     ("2800,inf,0.1", "grid values must be finite"),
     ("2900,2800,0.1", "grid must satisfy stop > start"),
     ("2800,2900,1e-7", "grid 2800,2900,1e-07 has 1e+09 points"),
-    ("2800,2900", "grid needs exactly three values")])
+    ("2800,2900", "grid needs exactly three values"),
+    ("2800,2801,5", "spectrum grid needs at least 2 points")])
 def test_explicit_grid_is_checked_before_diagonalizing(tmp_path, capsys,
                                                       monkeypatch, grid,
                                                       message):
@@ -810,9 +826,9 @@ def test_malformed_numbers_exit_two(tmp_path, capsys, argv, config, key):
      {"intensity_floor": math.nan},
      "intensity_floor must be finite and in [0, 1], got nan"),
     (["fit", "--model", "echo", "--input", "sigma=nan"], None,
-     "sigma must be positive and finite, same length as t"),
+     "{path}: line 19: non-finite value in {row!r}"),
     (["fit", "--model", "echo", "--input", "sigma=inf"], None,
-     "sigma must be positive and finite, same length as t"),
+     "{path}: line 19: non-finite value in {row!r}"),
 ], ids=["coeff-negative", "coeff-zero", "coeff-nan", "coeff-inf",
         "pulse-third-shell", "spectrum-third-shell", "spectrum-zfs-nan",
         "endor-zfs-nan", "spectrum-a-par-inf", "endor-a-par-inf",
@@ -820,17 +836,19 @@ def test_malformed_numbers_exit_two(tmp_path, capsys, argv, config, key):
         "spectrum-floor-nan", "fit-sigma-nan", "fit-sigma-inf"])
 def test_numbers_the_models_cannot_take_exit_two(tmp_path, capsys, argv,
                                                  config, message):
-    # "sigma=X": a 60-row echo CSV whose row 17 has sigma X, the rest 0.01
+    # "sigma=X": a 60-row echo CSV whose row 17 (line 19) has sigma X, the
+    # rest 0.01; the file is refused as it is read
     for k, arg in enumerate(argv):
         if arg.startswith("sigma="):
             t = np.linspace(0.0, 2.0, 60)
             sigma = ["0.01"] * 60
             sigma[17] = arg[len("sigma="):]
             path = tmp_path / "echo.csv"
-            path.write_text("t_us,signal,sigma\n" + "".join(
-                f"{tt:.12g},{yy:.12g},{ss}\n" for tt, yy, ss
-                in zip(t, echo_model(t, 0.7, 0.5, 0.5), sigma)))
+            rows = [f"{tt:.12g},{yy:.12g},{ss}" for tt, yy, ss
+                    in zip(t, echo_model(t, 0.7, 0.5, 0.5), sigma)]
+            path.write_text("t_us,signal,sigma\n" + "\n".join(rows) + "\n")
             argv = argv[:k] + [str(path)] + argv[k + 1:]
+            message = message.format(path=path, row=rows[17])
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -1043,3 +1061,61 @@ def test_closed_stdout_still_writes_the_files(tmp_path, unbuffered):
     for name in ("spectrum_lines.csv", "spectrum.csv"):
         assert (tmp_path / "piped" / name).read_bytes() \
             == (tmp_path / "direct" / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--rabi", "mw", "2", "4", "--t-max", "0"],
+     "--t-max must be positive and finite, got 0"),
+    (["--rabi", "mw", "2", "4", "--t-max", "-1"],
+     "--t-max must be positive and finite, got -1"),
+    (["--rabi", "mw", "2", "4", "--power", "0"],
+     "--power must be positive and finite, got 0"),
+    (["--bell", "phi_plus", "--detune", "0.2,0.1", "--t-max", "0"],
+     "--t-max must be positive and finite, got 0"),
+], ids=["rabi-t-max-0", "rabi-t-max-negative", "rabi-power-0",
+        "bell-t-max-0"])
+def test_sweep_end_and_power_are_checked_before_the_register(
+        tmp_path, capsys, monkeypatch, argv, message):
+    built = []
+    register = nvbath.cli.Register
+    monkeypatch.setattr(nvbath.cli, "Register",
+                        lambda spec: built.append(spec.dim) or register(spec))
+    out = tmp_path / "out"
+    assert main(["pulse", *_REGISTER_FLAGS, *argv,
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert built == [] and not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["spectrum", "--config", "{missing}"], None,
+     "config file not found: {missing}"),
+    (["spectrum"], [1, 2], "{config}: top level must be a JSON object"),
+    (["spectrum"], {"nuclei": [5]}, "nuclei[0] must be a JSON object"),
+    (["spectrum"], {"nuclei": [{"shell": 2}]},
+     "nuclei[0]: no built-in tensor for shell 2; give a_par_mhz and "
+     "a_perp_mhz instead"),
+    (["pulse", *_REGISTER_FLAGS, "--sequence", "{missing}"], None,
+     "cannot read {missing}: "),
+    (["pulse", *_REGISTER_FLAGS, "--rabi", "mw", "a", "b"], None,
+     "--rabi takes CHANNEL I J with integer level indices"),
+    (["pulse", *_REGISTER_FLAGS, "--bell", "phi_plus", "--detune", "0.2"],
+     None, "--detune takes two values: d1,d2 MHz"),
+    (["spectrum", "--first-shell", ","], None, "--first-shell is empty"),
+], ids=["config-missing", "config-not-object", "nucleus-not-object",
+        "nucleus-shell-2", "sequence-missing", "rabi-levels-not-integers",
+        "detune-one-value", "first-shell-empty"])
+def test_bad_files_and_flags_exit_two(tmp_path, capsys, argv, config,
+                                      message):
+    names = {"missing": tmp_path / "missing.txt",
+             "config": tmp_path / "cfg.json"}
+    argv = [a.format(**names) for a in argv]
+    if config is not None:
+        names["config"].write_text(json.dumps(config))
+        argv += ["--config", str(names["config"])]
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: " + message.format(**names))
+    assert not out.exists()

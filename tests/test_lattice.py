@@ -197,20 +197,24 @@ def test_radius_cap():
             generate_lattice(bad)
 
 
+def test_classify_shells_of_an_empty_lattice_is_empty():
+    empty = generate_lattice(6.0)[:0]
+    out = classify_shells(empty)
+    assert isinstance(out, Lattice) and len(out) == 0
+    assert out.quarter.shape == (0, 3)
+    assert len(classify_shells([])) == 0
+
+
 def test_sample_bath_deterministic_and_prefix_stable():
     sites = classify_shells(generate_lattice(10.0))
     a = sample_bath(sites, 0.05, seed=11)
     b = sample_bath(sites, 0.05, seed=11)
-    np.testing.assert_array_equal(a.site_indices, b.site_indices)
-    np.testing.assert_array_equal(a.positions, b.positions)
+    np.testing.assert_array_equal(a, b)
     # counter-based draws: site i's variate depends only on (seed, i), so a
     # shorter site list selects a prefix-consistent subset
     c = sample_bath(sites[:40], 0.05, seed=11)
-    assert set(c.site_indices) == {i for i in a.site_indices if i < 40}
-    assert sample_bath(sites, 0.05, seed=12).site_indices.shape \
-        != a.site_indices.shape or \
-        not np.array_equal(sample_bath(sites, 0.05, seed=12).site_indices,
-                           a.site_indices)
+    assert set(c) == {i for i in a if i < 40}
+    assert not np.array_equal(sample_bath(sites, 0.05, seed=12), a)
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5, "5"])
@@ -221,14 +225,14 @@ def test_sample_bath_seed_is_an_integer_below_2_128(seed):
     top = sample_bath(sites, 0.5, 2 ** 128 - 1)
     u = np.random.Generator(np.random.Philox(key=2 ** 128 - 1)).random(
         len(sites))
-    np.testing.assert_array_equal(top.site_indices, np.flatnonzero(u < 0.5))
+    np.testing.assert_array_equal(top, np.flatnonzero(u < 0.5))
 
 
 def test_sample_bath_mean_occupancy():
     sites = classify_shells(generate_lattice(8.0))
     n = 0.084
     total = len(sites)
-    counts = [sample_bath(sites, n, seed=s).count for s in range(1000)]
+    counts = [len(sample_bath(sites, n, seed=s)) for s in range(1000)]
     mean = float(np.mean(counts))
     sigma = math.sqrt(total * n * (1 - n) / len(counts))
     assert abs(mean - total * n) <= 3.0 * sigma
@@ -242,7 +246,7 @@ def test_per_shell_occupancy_statistics():
     per_shell = {sh: 0 for sh in table}
     shell_of = {i: s.shell for i, s in enumerate(sites)}
     for seed in seeds:
-        for i in sample_bath(sites, n, seed=seed).site_indices:
+        for i in sample_bath(sites, n, seed=seed):
             per_shell[shell_of[int(i)]] += 1
     for sh, (m, _) in table.items():
         mean = per_shell[sh] / len(seeds)
@@ -251,10 +255,14 @@ def test_per_shell_occupancy_statistics():
 
 
 def test_bath_couplings_match_positions():
+    # the occupied sites come as ascending integer indices into the site
+    # list, and their positions are those rows of positions_of
     sites = classify_shells(generate_lattice(10.0))
-    s = sample_bath(sites, 0.1, seed=3)
-    np.testing.assert_array_equal(s.positions,
-                                  positions_of(sites)[s.site_indices])
+    idx = sample_bath(sites, 0.1, seed=3)
+    assert idx.dtype.kind == "i" and len(idx) > 0
+    assert np.all(np.diff(idx) > 0)
+    np.testing.assert_array_equal(positions_of(sites[idx]),
+                                  positions_of(sites)[idx])
     empty = sample_bath(sites, 0.0, seed=3)
-    assert empty.count == 0
-    assert empty.positions.shape == (0, 3)
+    assert empty.shape == (0,)
+    assert positions_of(sites[empty]).shape == (0, 3)

@@ -98,6 +98,16 @@ def test_lattice_sum_reference_window_and_convergence():
     assert c_all > c16
 
 
+def test_lattice_sum_classifies_an_unclassified_lattice():
+    # generate_lattice leaves every shell 0, so the sum classifies first
+    # and gives the classified lattice's coefficient bitwise
+    lat = generate_lattice(16.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        classified = dipolar_second_moment_sum(classify_shells(lat))
+        assert dipolar_second_moment_sum(lat) == classified
+
+
 def test_lattice_sum_requires_enough_sites():
     sites = classify_shells(generate_lattice(10.0))
     with pytest.raises(InsufficientSitesError):

@@ -296,11 +296,11 @@ def test_rabi_curve_shape_and_power_scaling():
     reg = make_register()
     i, j = reg.level(0, (0, 0)), reg.level(-1, (0, 0))
     t = np.linspace(0.0, 2.0, 81)
-    curve, omega = rabi_simulate(reg, "mw", i, j, t, power=1.0)
-    assert curve.signal[0] == 0.0
-    np.testing.assert_allclose(curve.signal,
-                               np.sin(math.pi * omega * t) ** 2, atol=1e-12)
-    assert abs(curve.signal.max() - 1.0) <= 1e-6  # unit contrast
+    pop, omega = rabi_simulate(reg, "mw", i, j, t, power=1.0)
+    assert pop[0] == 0.0
+    np.testing.assert_allclose(pop, np.sin(math.pi * omega * t) ** 2,
+                               atol=1e-12)
+    assert abs(pop.max() - 1.0) <= 1e-6  # unit contrast
     # Omega scales as sqrt(power)
     _, om4 = rabi_simulate(reg, "mw", i, j, t, power=4.0)
     assert abs(om4 - 2.0 * omega) <= 1e-12

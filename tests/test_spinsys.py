@@ -302,6 +302,32 @@ def test_window_and_floor_filtering():
         esr_transitions(spec, window=(2750.0, 2500.0))
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"floor": math.nan}, "got nan"),
+    ({"floor": -0.1}, "got -0.1"),
+    ({"floor": 1.5}, "got 1.5"),
+    ({"window": (2400.0, 2900.0, 3000.0)},
+     "window needs exactly two values: lo,hi")],
+    ids=["floor-nan", "floor-negative", "floor-above-1", "window-3-values"])
+def test_esr_transitions_checks_inputs_before_solving(monkeypatch, kwargs,
+                                                      match):
+    calls = []
+    build = spinsys.build_hamiltonian
+    monkeypatch.setattr(spinsys, "build_hamiltonian",
+                        lambda spec: calls.append(spec.dim) or build(spec))
+    spec = SpinSystemSpec(field=FIELD_83, hyperfine=(first_shell_tensor(),))
+    with pytest.raises(ValidationError, match=match) as exc:
+        esr_transitions(spec, **kwargs)
+    if "floor" in kwargs:
+        assert str(exc.value).startswith(
+            "intensity_floor must be finite and in [0, 1], ")
+    assert calls == []
+    # the ends of [0, 1] are floors
+    assert esr_transitions(spec, floor=0.0)
+    assert esr_transitions(spec, floor=1.0) == []
+    assert calls == [6]
+
+
 def test_synth_spectrum_area_matches_line_sum():
     spec = SpinSystemSpec(field=FIELD_83, hyperfine=(first_shell_tensor(),))
     lines = esr_transitions(spec, window=(2400.0, 3400.0), floor=0.0)
@@ -318,7 +344,8 @@ def test_synth_spectrum_area_matches_line_sum():
     (0.0, (2800.0, 2900.0, 0.1), "fwhm must be positive"),
     (1.0, (2800.0, math.nan, 0.1), "grid values must be finite"),
     (1.0, (-math.inf, 2900.0, 0.1), "grid values must be finite"),
-    (1.0, (2900.0, 2800.0, 0.1), "stop > start")])
+    (1.0, (2900.0, 2800.0, 0.1), "stop > start"),
+    (1.0, (2800.0, 2801.0, 5.0), "spectrum grid needs at least 2 points")])
 def test_synth_spectrum_rejects_bad_broadening_and_grid(fwhm, grid, match):
     lines = esr_transitions(SpinSystemSpec(field=FIELD_83))
     with pytest.raises(ValidationError, match=match):
