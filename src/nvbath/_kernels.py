@@ -1,13 +1,53 @@
 """Hot numeric kernels. Each has one numpy implementation; ``BACKEND``
-names it for run records."""
+names it for run records.
+
+Importing this module (every nvbath import does) sets the OpenBLAS that
+numpy loaded to one thread, once, for the whole process. nvbath's dense
+problems are at most 192 x 192: a second BLAS thread saves them little
+wall time but doubles their CPU time, and ``eigh`` rounds differently at each
+thread count, which the 10-digit CSVs print. A numpy without OpenBLAS,
+or a platform where it cannot be found, is left as it is.
+"""
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
 
 BACKEND = "numpy"
+
+
+def openblas_function(name: str, restype, *argtypes):
+    """The ctypes function openblas_<name> (e.g. set_num_threads), typed
+    restype(*argtypes), of the OpenBLAS library mapped into this process,
+    under any of the symbol spellings of OpenBLAS builds
+    (scipy_openblas..., ...64_), or None."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8",
+                  errors="surrogateescape") as fh:
+            paths = sorted({line.split(None, 5)[5].strip() for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                fn = getattr(lib, prefix + name + suffix, None)
+                if fn is not None:
+                    fn.restype, fn.argtypes = restype, list(argtypes)
+                    return fn
+    return None
+
+
+_set_blas_threads = openblas_function("set_num_threads", None, ctypes.c_int)
+if _set_blas_threads is not None:
+    _set_blas_threads(1)
 
 
 def second_moment_sum(pos, axis):

@@ -30,9 +30,10 @@ from .lattice import (classify_shells, generate_lattice, positions_of,
                       sample_bath, shell_summary)
 from .linewidth import (DIPOLAR_COEFF_CM6, dipolar_second_moment_sum,
                         linewidth_curve)
-from .pulses import (BELL_VARIANTS, Register, bell_dephasing_fidelity,
-                     bell_prepare_and_fidelity, endor_transfer,
-                     parse_sequence, rabi_simulate, run_sequence)
+from .pulses import (BELL_VARIANTS, Pulse, Register,
+                     bell_dephasing_fidelity, bell_prepare_and_fidelity,
+                     endor_transfer, parse_sequence, rabi_simulate,
+                     run_sequence)
 from .spinsys import (HyperfineTensor, SpinSystemSpec, ZeemanField,
                       ZfsParams, check_fwhm, check_grid, esr_transitions,
                       first_shell_tensor, synth_spectrum, third_shell_tensor)
@@ -363,7 +364,7 @@ def cmd_linewidth(args) -> int:
     }
     cfg, out = _effective(args, _LINEWIDTH_DEFAULTS, overrides)
     measured = (_read_csv_rows(args.overlay, (2,))  # n, w_mhz
-                if args.plot and args.overlay else None)
+                if args.overlay is not None else None)
     if cfg["concentrations"] is not None:
         n_values = np.asarray(_numbers(cfg["concentrations"],
                                        "concentrations"))
@@ -478,17 +479,24 @@ def cmd_bath(args) -> int:
 # ----- pulse --------------------------------------------------------------
 
 
-def _parse_init(register, text):
+def _parse_init(text):
+    """(ms, bits) of an --init 'ms:bits' text, or None without --init."""
     if text is None:
-        return register.mixed_nuclei_state(ms=0)
+        return None
     try:
         ms_part, bits_part = text.split(":")
-        ms = int(ms_part)
-        bits = tuple(int(b) for b in bits_part) if bits_part else ()
+        return int(ms_part), tuple(int(b) for b in bits_part)
     except ValueError:
         raise ValidationError(
             f"--init must look like 'ms:bits', e.g. '0:00', got {text!r}") \
             from None
+
+
+def _initial_state(register, init):
+    """The --init state on the register; mixed nuclei at m_s = 0 if None."""
+    if init is None:
+        return register.mixed_nuclei_state(ms=0)
+    ms, bits = init
     if len(bits) != register.n_nuclei:
         raise ValidationError(
             f"--init names {len(bits)} nuclei; register has "
@@ -511,6 +519,28 @@ def cmd_pulse(args) -> int:
         raise ValidationError(
             "pick exactly one of --sequence, --rabi, --bell, --endor")
     mode = modes[0]
+    # the mode's own flags and files are checked before the register is built
+    if mode == "sequence":
+        init = _parse_init(args.init)
+        try:
+            with open(args.sequence, encoding="utf-8") as fh:
+                items = parse_sequence(fh.read())
+        except OSError as exc:
+            raise ValidationError(f"cannot read {args.sequence}: {exc}") \
+                from None
+    elif mode == "rabi":
+        channel, si, sj = args.rabi
+        try:
+            i, j = int(si), int(sj)
+        except ValueError:
+            raise ValidationError("--rabi takes CHANNEL I J with integer "
+                                  "level indices") from None
+        channel = channel.lower()
+        Pulse(channel, i, j, math.pi)  # a known channel and two levels
+    elif mode == "bell" and args.detune:
+        detune = _parse_floats(args.detune, "--detune")
+        if len(detune) != 2:
+            raise ValidationError("--detune takes two values: d1,d2 MHz")
     overrides = {
         "field_gauss": args.field,
         "nuclei": _nuclei_from_flags(args),
@@ -519,13 +549,7 @@ def cmd_pulse(args) -> int:
     register = Register(_system_from_config(cfg))
 
     if mode == "sequence":
-        try:
-            with open(args.sequence, encoding="utf-8") as fh:
-                items = parse_sequence(fh.read())
-        except OSError as exc:
-            raise ValidationError(f"cannot read {args.sequence}: {exc}") \
-                from None
-        state = run_sequence(_parse_init(register, args.init), items)
+        state = run_sequence(_initial_state(register, init), items)
         rows = [(ms, "".join(str(b) for b in bits) or "-", pop)
                 for (ms, bits), pop in state.populations().items()]
         for ms, bits, pop in rows:
@@ -535,14 +559,8 @@ def cmd_pulse(args) -> int:
         return EXIT_OK
 
     if mode == "rabi":
-        channel, si, sj = args.rabi
-        try:
-            i, j = int(si), int(sj)
-        except ValueError:
-            raise ValidationError("--rabi takes CHANNEL I J with integer "
-                                  "level indices") from None
         t = np.linspace(0.0, args.t_max, args.points)
-        pop, omega = rabi_simulate(register, channel.lower(), i, j, t,
+        pop, omega = rabi_simulate(register, channel, i, j, t,
                                    power=args.power)
         _say(f"Rabi frequency {omega:.6g} MHz at power {args.power:g}")
         out.csv("rabi.csv", ("t_us", "population"),
@@ -556,13 +574,10 @@ def cmd_pulse(args) -> int:
     if mode == "bell":
         variant = args.bell
         rows = None
-        if args.detune:  # checked and computed before any state is built
-            d = _parse_floats(args.detune, "--detune")
-            if len(d) != 2:
-                raise ValidationError("--detune takes two values: d1,d2 MHz")
+        if args.detune:  # computed before any state is built
             t = np.linspace(0.0, args.t_max, args.points)
             rows = zip(t.tolist(), bell_dephasing_fidelity(
-                register, variant, t, d[0], d[1]).tolist())
+                register, variant, t, detune[0], detune[1]).tolist())
         _, fid, p00 = bell_prepare_and_fidelity(register, variant)
         _say(f"{variant}: preparation fidelity {fid:.9f}, "
              f"round-trip detection {p00:.9f}")
@@ -596,8 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed recorded in outputs and used for "
                              "sampling (default 0)")
     common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; nvbath "
-                             "starts no threads of its own")
+                        help="accepted and ignored: importing nvbath sets "
+                             "its BLAS to one thread, and it starts no "
+                             "threads of its own")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", parents=[common],
@@ -625,7 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="compute the dipolar coefficient from a lattice "
                          "sum within RADIUS Angstrom")
     lw.add_argument("--overlay", default=None, metavar="FILE",
-                    help="n,w_mhz points drawn onto the plot")
+                    help="n,w_mhz points drawn onto the plot; read and "
+                         "checked even without --plot")
     lw.add_argument("--plot", action="store_true", help="also write SVG")
     lw.set_defaults(func=cmd_linewidth)
 

@@ -195,6 +195,22 @@ def test_linewidth_overlay_non_finite_value_exits_two(tmp_path, capsys,
     assert captured.out == "" and not out.exists()
 
 
+def test_linewidth_overlay_is_checked_without_plot(tmp_path, capsys):
+    overlay = tmp_path / "meas.csv"
+    out = tmp_path / "out"
+    argv = ["linewidth", "--concentrations", "0.01",
+            "--overlay", str(overlay), "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {overlay}")
+    overlay.write_text("n,w_mhz\n0.011,x\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {overlay}: no data rows\n"
+    assert not out.exists()
+    overlay.write_text("n,w_mhz\n0.011,0.5\n")
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["linewidth.csv"]
+
+
 def test_fit_recovers_parameters(tmp_path):
     t = np.linspace(0.0, 40.0, 80)
     y = fid_model(t, 13.3, 0.9, 0.5, 0.5)
@@ -487,7 +503,8 @@ def test_spectrum_plot_peak_memory_is_within_the_grid_bound(tmp_path):
 # One 6-nucleus register (dim 192) through spectrum, pulse --sequence and
 # pulse --rabi. The digests were recorded from the output of the code
 # before the register labels became array operations (numpy 2.4,
-# OpenBLAS 0.3), which these files must keep byte for byte.
+# OpenBLAS 0.3), which these files must keep byte for byte; the two
+# spectrum files are those of one BLAS thread, which importing nvbath sets.
 GOLDEN_CONFIG = {"field_gauss": 83.7, "nuclei": [
     {"shell": 1, "azimuth_deg": 37.5}, {"shell": 3},
     {"a_par_mhz": 8.0, "a_perp_mhz": 6.0, "polar_deg": 55.0,
@@ -519,9 +536,9 @@ MW 24 124 3.141592653589793 0.0
 """
 GOLDEN_SHA256 = {
     "spectrum_lines.csv":
-        "7dca510dfccc5482e42485eb972ea46f43f866fb659c775fb26254b1cf20d15f",
+        "790978c39cd0ea487788cbaf23a861d9dd36f31e6a335d4c06b33d095778e48e",
     "spectrum.csv":
-        "616afeba2a2343a9a3101c26316f6a63198fc91fb35c78b977bbf9e5b9f64203",
+        "6f673ca3b48e30085355f13f8bff6ba6546e4f5e0b080b48e36c5ac8318db349",
     "populations.csv":
         "480a6fb149fb4980d754ad7ba7431069d330de4e4f6d9f07e120a506af18254e",
     "rabi.csv":
@@ -711,6 +728,59 @@ def test_pulse_rabi_thread_count_does_not_change_output(tmp_path):
                      "--threads", threads, "--out-dir", str(d)]) == 0
         outs.append((d / "rabi.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+# Runs each command of argv (a JSON list of argument lists) through main in
+# one interpreter; prints the OpenBLAS thread count after `import nvbath`,
+# then each command's exit code and stdout.
+_RUN_COMMANDS = """\
+import contextlib, ctypes, io, json, sys
+from nvbath import _kernels
+from nvbath.cli import main
+get_threads = _kernels.openblas_function("get_num_threads", ctypes.c_int)
+print(get_threads() if get_threads else None)
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(code)
+    print(out.getvalue(), end="")
+"""
+
+
+def test_register_bytes_do_not_depend_on_openblas_threads(tmp_path):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "register.json").write_text(json.dumps(GOLDEN_CONFIG))
+    (inputs / "seq.txt").write_text(GOLDEN_SEQUENCE)
+    # identical third-shell nuclei leave degenerate levels, whose eigh
+    # basis followed the BLAS thread count
+    degenerate = ["spectrum", "--field", "83", "--first-shell", "0,120,240",
+                  "--third-shell", "3", "--window", "2400,3300"]
+    commands = [[a.format(seq=inputs / "seq.txt") for a in argv]
+                + ["--config", str(inputs / "register.json")]
+                for argv in REGISTER_COMMANDS.values()] + [degenerate]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(nvbath.cli.__file__)))
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_COMMANDS, json.dumps(
+                [argv + ["--out-dir", str(out / str(k))]
+                 for k, argv in enumerate(commands)])],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        lines = proc.stdout.replace(str(out), "OUT").splitlines()
+        assert lines[0] in ("1", "None")
+        runs[threads] = lines[1:], {
+            str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*.csv"))}
+    stdout, files = runs["1"]
+    assert "604 lines; strongest 2757.8847 MHz" in stdout
+    assert len(files) == 6  # spectrum twice (2 files each), populations, rabi
+    assert runs["2"] == runs["1"]
 
 
 def test_row_format_matches_format_spec():
@@ -1063,27 +1133,44 @@ def test_closed_stdout_still_writes_the_files(tmp_path, unbuffered):
             == (tmp_path / "direct" / name).read_bytes()
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["--rabi", "mw", "2", "4", "--t-max", "0"],
+@pytest.mark.parametrize("argv, sequence, message", [
+    (["--rabi", "mw", "2", "4", "--t-max", "0"], None,
      "--t-max must be positive and finite, got 0"),
-    (["--rabi", "mw", "2", "4", "--t-max", "-1"],
+    (["--rabi", "mw", "2", "4", "--t-max", "-1"], None,
      "--t-max must be positive and finite, got -1"),
-    (["--rabi", "mw", "2", "4", "--power", "0"],
+    (["--rabi", "mw", "2", "4", "--power", "0"], None,
      "--power must be positive and finite, got 0"),
-    (["--bell", "phi_plus", "--detune", "0.2,0.1", "--t-max", "0"],
+    (["--bell", "phi_plus", "--detune", "0.2,0.1", "--t-max", "0"], None,
      "--t-max must be positive and finite, got 0"),
+    (["--rabi", "mw", "a", "b"], None,
+     "--rabi takes CHANNEL I J with integer level indices"),
+    (["--rabi", "xx", "2", "4"], None, "channel must be one of ('mw', 'rf')"),
+    (["--bell", "phi_plus", "--detune", "0.2"], None,
+     "--detune takes two values: d1,d2 MHz"),
+    (["--sequence", "{seq}", "--init", "0:0x"], "WAIT 1\n",
+     "--init must look like 'ms:bits', e.g. '0:00', got '0:0x'"),
+    (["--sequence", "{seq}"], None,
+     "cannot read {seq}: [Errno 2] No such file or directory: '{seq}'"),
+    (["--sequence", "{seq}"], "WAIT 1\nRF 1 2\n",
+     "sequence line 2: expected: channel i j angle_rad phase_rad"),
 ], ids=["rabi-t-max-0", "rabi-t-max-negative", "rabi-power-0",
-        "bell-t-max-0"])
+        "bell-t-max-0", "rabi-levels-not-integers", "rabi-channel",
+        "detune-one-value", "init-format", "sequence-missing",
+        "sequence-grammar"])
 def test_sweep_end_and_power_are_checked_before_the_register(
-        tmp_path, capsys, monkeypatch, argv, message):
+        tmp_path, capsys, monkeypatch, argv, sequence, message):
+    # every pulse flag and file is checked before the register is built
     built = []
     register = nvbath.cli.Register
     monkeypatch.setattr(nvbath.cli, "Register",
                         lambda spec: built.append(spec.dim) or register(spec))
+    seq = tmp_path / "seq.txt"
+    if sequence is not None:
+        seq.write_text(sequence)
     out = tmp_path / "out"
-    assert main(["pulse", *_REGISTER_FLAGS, *argv,
+    assert main(["pulse", *_REGISTER_FLAGS, *[a.format(seq=seq) for a in argv],
                  "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(seq=seq)}\n"
     assert built == [] and not out.exists()
 
 

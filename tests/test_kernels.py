@@ -1,8 +1,9 @@
 """Each kernel must agree with a plain loop over sites and samples; the
 windowed Gaussian mixture must print like the dense sum. numpy is the
-only backend."""
+only backend, and importing nvbath leaves its OpenBLAS at one thread."""
 
 import ast
+import ctypes
 import math
 from pathlib import Path
 
@@ -118,3 +119,12 @@ def test_numpy_is_the_only_backend():
                 continue
             assert not any(n.split(".")[0] == "numba" for n in names), \
                 path.name
+
+
+def test_importing_nvbath_sets_openblas_to_one_thread():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    get_threads = _kernels.openblas_function("get_num_threads", ctypes.c_int)
+    if "openblas" in blas["name"]:
+        assert get_threads is not None
+    if get_threads is not None:
+        assert get_threads() == 1
